@@ -65,9 +65,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		maxSol    = fs.Int("max", 0, "cap on disjunctive assignments (0 = default)")
-		minimize  = fs.Bool("minimize", false, "minimize intermediate machines")
-		raw       = fs.Bool("raw", false, "track constant machines verbatim (paper-prototype mode)")
-		nomax     = fs.Bool("nomaximalize", false, "skip the maximality fixpoint (raw seam disjuncts)")
 		enum      = fs.Int("enum", 0, "also list up to N language members per variable")
 		enumLen   = fs.Int("enumlen", 12, "maximum member length for -enum")
 		dotVar    = fs.String("dot", "", "print the first assignment's machine for this variable in Graphviz DOT")
@@ -131,9 +128,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		res, solveErr := core.SolveCtx(ctx, sys, core.Options{
 			MaxSolutions: *maxSol,
-			Minimize:     *minimize,
-			RawConstants: *raw,
-			NoMaximalize: *nomax,
 			Cache:        cache,
 			Limits:       budget.Limits{MaxStates: *maxStates, MaxSteps: *maxSteps},
 		})

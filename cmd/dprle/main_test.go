@@ -124,7 +124,7 @@ func TestRunMissingFile(t *testing.T) {
 func TestRunFlagVariants(t *testing.T) {
 	src := "const c := re /a+/;\nv <= c;\n"
 	for _, flags := range [][]string{
-		{"-minimize"}, {"-raw"}, {"-nomaximalize"}, {"-max", "2"},
+		{"-max", "2"},
 	} {
 		var out, errb strings.Builder
 		rc := run(flags, strings.NewReader(src), &out, &errb)

@@ -41,15 +41,6 @@ func Or(a, b Expr) Expr { return Expr{e: core.Or{Left: a.e, Right: b.e}} }
 type Options struct {
 	// MaxSolutions caps the number of disjunctive assignments returned.
 	MaxSolutions int
-	// Minimize applies DFA minimization to intermediate machines.
-	Minimize bool
-	// RawConstants tracks constant machines verbatim instead of
-	// canonicalizing them first, matching the paper's prototype (and its
-	// pathological `secure` case).
-	RawConstants bool
-	// NoMaximalize skips the maximality fixpoint; returned disjuncts then
-	// mirror the raw seam structure (ablation).
-	NoMaximalize bool
 	// MaxStates caps the total number of NFA states the solve may
 	// materialize across all product/determinization constructions.
 	// 0 means unlimited. When the cap trips, the solve unwinds and
@@ -58,8 +49,6 @@ type Options struct {
 	// MaxSteps caps the number of solver checkpoints (inner-loop progress
 	// marks). 0 means unlimited.
 	MaxSteps int64
-	// Sequential disables the concurrent solving of independent CI-groups.
-	Sequential bool
 	// Cache memoizes solved components across calls (see NewCache). nil
 	// disables memoization. The same Cache may be shared by concurrent
 	// solves and across different systems: entries are keyed by canonical
@@ -71,10 +60,6 @@ type Options struct {
 func (o Options) toCore() core.Options {
 	co := core.Options{
 		MaxSolutions: o.MaxSolutions,
-		Minimize:     o.Minimize,
-		RawConstants: o.RawConstants,
-		NoMaximalize: o.NoMaximalize,
-		Sequential:   o.Sequential,
 		Limits:       budget.Limits{MaxStates: o.MaxStates, MaxSteps: o.MaxSteps},
 	}
 	if o.Cache != nil {

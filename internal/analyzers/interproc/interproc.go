@@ -134,9 +134,15 @@ func (in *Info) ForFunc(fn *types.Func) (FuncSummary, bool) {
 	return in.Summaries[n.ID], true
 }
 
+// The memo holds the info of the most recently analyzed package only. The
+// driver runs every analyzer over one package before it moves to the next,
+// so a single entry lets the consumers share one computation without
+// keeping earlier packages' call graphs, and the syntax and type
+// information they point into, alive across loads.
 var (
-	cacheMu sync.Mutex
-	cache   = map[*types.Package]*Info{}
+	memoMu   sync.Mutex
+	memoPkg  *types.Package
+	memoInfo *Info
 )
 
 // Of computes (or returns the memoized) interprocedural info for the
@@ -148,16 +154,19 @@ var (
 // under. Summary computation cannot fail: components that do not converge
 // degrade to empty summaries instead of aborting the analyzers.
 func Of(pass *analysis.Pass) *Info {
-	cacheMu.Lock()
-	in, ok := cache[pass.Pkg]
-	cacheMu.Unlock()
-	if !ok {
+	memoMu.Lock()
+	in := memoInfo
+	if memoPkg != pass.Pkg {
+		in = nil
+	}
+	memoMu.Unlock()
+	if in == nil {
 		g := callgraph.Build(pass.TypesInfo, pass.Files)
 		sums, degraded := computeSummaries(pass.TypesInfo, g)
 		in = &Info{Graph: g, Summaries: sums, DegradedSCCs: degraded}
-		cacheMu.Lock()
-		cache[pass.Pkg] = in
-		cacheMu.Unlock()
+		memoMu.Lock()
+		memoPkg, memoInfo = pass.Pkg, in
+		memoMu.Unlock()
 	}
 	pass.CountStat(StatDynamicSkips, in.Graph.DynamicSkips)
 	pass.CountStat(StatDegradedSCCs, in.DegradedSCCs)

@@ -195,3 +195,43 @@ func TestSummariesDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestOfHoldsOnePackage analyzes several fresh loads of a fixture, the way
+// a lint pass with a fresh loader does, and checks that the consumers of
+// one run share a single computation while the memo keeps nothing but the
+// package under analysis.
+func TestOfHoldsOnePackage(t *testing.T) {
+	var got []*Info
+	consumer := func(name string) *analysis.Analyzer {
+		return &analysis.Analyzer{Name: name, Run: func(pass *analysis.Pass) error {
+			got = append(got, Of(pass))
+			return nil
+		}}
+	}
+	suite := []*analysis.Analyzer{consumer("first"), consumer("second")}
+	var prev *Info
+	for i := 0; i < 3; i++ {
+		l := analysis.NewSourceLoader("testdata/src")
+		pkg, err := l.Load("sum")
+		if err != nil {
+			t.Fatalf("loading fixture: %v", err)
+		}
+		got = got[:0]
+		if _, _, err := analysis.RunStats(pkg, l.Fset, suite); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 || got[0] != got[1] {
+			t.Fatalf("load %d: consumers did not share one computation", i)
+		}
+		if got[0] == prev {
+			t.Fatalf("load %d: a fresh load was answered from the previous package", i)
+		}
+		prev = got[0]
+		memoMu.Lock()
+		heldPkg, heldInfo := memoPkg, memoInfo
+		memoMu.Unlock()
+		if heldPkg != pkg.Types || heldInfo != got[0] {
+			t.Fatalf("load %d: memo holds %p, want only the package under analysis %p", i, heldPkg, pkg.Types)
+		}
+	}
+}

@@ -39,14 +39,6 @@ func ConcatIntersect(c1, c2, c3 *nfa.NFA) []CISolution {
 	return sols
 }
 
-// ConcatIntersectB is ConcatIntersect under a resource budget. On
-// exhaustion it returns the (verified, nonempty) solutions sliced out
-// before the trip together with the budget's *Exhausted error.
-func ConcatIntersectB(bud *budget.Budget, c1, c2, c3 *nfa.NFA) ([]CISolution, error) {
-	sols, _, err := concatIntersectB(bud, c1, c2, c3)
-	return sols, err
-}
-
 // ConcatIntersectTrace is ConcatIntersect, additionally returning the
 // intermediate machines for inspection (Fig. 4 reproduces them).
 func ConcatIntersectTrace(c1, c2, c3 *nfa.NFA) ([]CISolution, *CITrace) {

@@ -133,7 +133,8 @@ func TestFaultInjectionGroupProduct(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionGroupProductPartial covers the SolveFor combine loop.
+// TestFaultInjectionGroupProductPartial covers the combine loop entered
+// through SolveFor, which shares Solve's pipeline and stage names.
 func TestFaultInjectionGroupProductPartial(t *testing.T) {
 	disarm := faultinject.Arm(faultinject.GroupProduct, 1)
 	sys := smallGroupSystem()
@@ -143,7 +144,7 @@ func TestFaultInjectionGroupProductPartial(t *testing.T) {
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v, want *budget.Exhausted", err)
 	}
-	if ex.Stage != "solve-for.group-product" {
+	if ex.Stage != "solve.group-product" {
 		t.Errorf("Stage = %q", ex.Stage)
 	}
 	if len(res.Assignments) != 0 {

@@ -125,11 +125,71 @@ func TestSolveForAgreesWithSolve(t *testing.T) {
 	if len(full.Assignments) != len(part.Assignments) {
 		t.Fatalf("assignment counts differ: %d vs %d", len(full.Assignments), len(part.Assignments))
 	}
-	// Note: SolveFor skips maximalization-collapse across groups; compare
-	// variable languages directly on the single assignment.
+	// Compare variable languages directly on the single assignment.
 	for _, v := range []string{"v1", "w1", "w2"} {
 		if !nfa.Equivalent(full.Assignments[0].Lookup(v), part.Assignments[0].Lookup(v)) {
 			t.Errorf("%s differs between Solve and SolveFor", v)
 		}
+	}
+}
+
+// TestSolveForSharesSolvePipeline pins what SolveFor inherits from running
+// Solve's procedure: its groups are solved concurrently unless
+// Options.Sequential is set, with the same answer either way, and
+// Options.Minimize reaches the free variables it reduces.
+func TestSolveForSharesSolvePipeline(t *testing.T) {
+	mk := func() *System {
+		s := NewSystem()
+		for _, grp := range []string{"A", "B", "C"} {
+			c1 := s.MustConst("c1"+grp, regex.MustCompile("x(yy)+"))
+			c2 := s.MustConst("c2"+grp, regex.MustCompile("(yy)*z"))
+			c3 := s.MustConst("c3"+grp, regex.MustCompile("xyyz|xyyyyz"))
+			s.MustAdd(Var{"p" + grp}, c1)
+			s.MustAdd(Var{"q" + grp}, c2)
+			s.MustAdd(Cat{Left: Var{"p" + grp}, Right: Var{"q" + grp}}, c3)
+		}
+		return s
+	}
+	interest := []string{"pA", "qB"}
+	par, err := SolveFor(mk(), interest, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := SolveFor(mk(), interest, Options{Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(par.Assignments) != 4 || len(seq.Assignments) != 4 { // 2^2 group combinations
+		t.Fatalf("parallel %d, sequential %d assignments; want 4", len(par.Assignments), len(seq.Assignments))
+	}
+	for i := range par.Assignments {
+		for _, v := range []string{"pA", "qA", "pB", "qB", "pC", "qC"} {
+			if !nfa.Equivalent(par.Assignments[i].Lookup(v), seq.Assignments[i].Lookup(v)) {
+				t.Fatalf("disjunct %d, %s: parallel and sequential differ", i, v)
+			}
+		}
+		if !nfa.Equivalent(par.Assignments[i].Lookup("pC"), nfa.AnyString()) {
+			t.Fatalf("disjunct %d: group C was not requested, pC should remain Σ*", i)
+		}
+	}
+
+	full, err := Solve(partialSystem(t), Options{Minimize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := SolveFor(partialSystem(t), []string{"w1"}, Options{Minimize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := SolveFor(partialSystem(t), []string{"w1"}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := part.Assignments[0].Lookup("w1").NumStates()
+	if want := full.Assignments[0].Lookup("w1").NumStates(); got != want {
+		t.Fatalf("w1 has %d states under SolveFor with Minimize, %d under Solve", got, want)
+	}
+	if unmin := plain.Assignments[0].Lookup("w1").NumStates(); got >= unmin {
+		t.Fatalf("Minimize left w1 at %d states, %d without it", got, unmin)
 	}
 }

@@ -168,6 +168,53 @@ func Solve(s *System, opts Options) (*Result, error) {
 // silently when the budget trips inside them; only solve-critical
 // constructions surface the error.
 func SolveCtx(ctx context.Context, s *System, opts Options) (*Result, error) {
+	return solveCtx(ctx, s, nil, opts)
+}
+
+// SolveFor solves the system for the given variables only: the partial
+// solving the paper offers "depending on the needs of the client analysis"
+// (§4), with `interest` as Fig. 7's S. It runs Solve's procedure, but
+// reduces only the free variables in `interest` and eliminates only the
+// CI-groups containing one; a group cannot be split, so its other
+// variables come along. Every other variable, and every requested name the
+// system does not mention, is reported as Σ*, its correct value in any
+// maximal assignment that ignores its constraints. A nil or empty
+// `interest` solves nothing.
+func SolveFor(s *System, interest []string, opts Options) (*Result, error) {
+	return SolveForCtx(context.Background(), s, interest, opts)
+}
+
+// SolveForCtx is SolveFor under a resource budget, with the degradation
+// semantics of SolveCtx.
+func SolveForCtx(ctx context.Context, s *System, interest []string, opts Options) (*Result, error) {
+	want := make(varSet, len(interest)) // never nil: nil admits everything
+	for _, v := range interest {
+		want[v] = true
+	}
+	return solveCtx(ctx, s, want, opts)
+}
+
+// varSet filters what a solve works on. The nil set admits every free
+// variable and every CI-group, including the variable-free group a
+// constants-only concatenation forms; any other set admits its free
+// variables and the groups containing one of them.
+type varSet map[string]bool
+
+func (w varSet) admitsVar(name string) bool { return w == nil || w[name] }
+
+func (w varSet) admitsGroup(g *Graph, group []int) bool {
+	if w == nil {
+		return true
+	}
+	for _, id := range group {
+		if n := g.Nodes[id]; n.Kind == VarNode && w[n.Name] {
+			return true
+		}
+	}
+	return false
+}
+
+func solveCtx(ctx context.Context, s *System, want varSet, opts Options) (*Result, error) {
 	bud := budget.New(ctx, opts.Limits)
 	// Fast path: a context that is already expired or canceled must not
 	// start any work — callers that share a deadline across many solves
@@ -176,7 +223,7 @@ func SolveCtx(ctx context.Context, s *System, opts Options) (*Result, error) {
 	if err := bud.Preflight("solve.preflight"); err != nil {
 		return &Result{Usage: bud.Usage()}, err
 	}
-	res, err := solveBudget(s, opts, bud)
+	res, err := solveBudget(s, want, opts, bud)
 	if res == nil {
 		res = &Result{}
 	}
@@ -184,19 +231,25 @@ func SolveCtx(ctx context.Context, s *System, opts Options) (*Result, error) {
 	return res, err
 }
 
-func solveBudget(s *System, opts Options, bud *budget.Budget) (*Result, error) {
+func solveBudget(s *System, want varSet, opts Options, bud *budget.Budget) (*Result, error) {
 	g := BuildGraph(s)
 	canon := newConstCache(opts, bud)
 
 	// Stage 1: free variables (no concat edges) reduce by intersection,
 	// consulting the cache first: the reduced language is a function of the
-	// constraining constant languages alone.
+	// constraining constant languages alone. Variables outside the interest
+	// set are skipped before their checkpoint.
 	base := Assignment{}
+	covered := map[string]bool{}
 	for _, id := range g.FreeVars() {
+		n := g.Nodes[id]
+		if !want.admitsVar(n.Name) {
+			continue
+		}
 		if err := bud.Check("solve.free-vars"); err != nil {
 			return nil, err
 		}
-		n := g.Nodes[id]
+		covered[n.Name] = true
 		var fvKey string
 		if opts.Cache != nil {
 			fvKey = freeVarKey(g, id, opts)
@@ -225,13 +278,31 @@ func solveBudget(s *System, opts Options, bud *budget.Budget) (*Result, error) {
 		}
 		base[n.Name] = lang
 	}
-	// Variables registered but never constrained default to Σ* (the paper's
-	// initial node-to-NFA mapping).
-	for _, v := range s.Vars() {
-		if _, ok := base[v]; !ok {
-			if _, inGraph := g.varNode[v]; !inGraph {
-				base[v] = nfa.AnyString()
+	// Only the CI-groups the interest set admits are eliminated; their
+	// disjuncts cover every variable they contain.
+	var groups [][]int
+	for _, group := range g.CIGroups() {
+		if !want.admitsGroup(g, group) {
+			continue
+		}
+		groups = append(groups, group)
+		for _, id := range group {
+			if n := g.Nodes[id]; n.Kind == VarNode {
+				covered[n.Name] = true
 			}
+		}
+	}
+	// Variables the solve leaves alone keep the paper's initial Σ*
+	// assignment: those registered but never constrained, those outside the
+	// interest set, and requested names the system does not mention.
+	for _, v := range s.Vars() {
+		if !covered[v] {
+			base[v] = nfa.AnyString()
+		}
+	}
+	for v := range want {
+		if !covered[v] {
+			base[v] = nfa.AnyString()
 		}
 	}
 
@@ -240,7 +311,6 @@ func solveBudget(s *System, opts Options, bud *budget.Budget) (*Result, error) {
 	// concurrently when there is more than one. The budget is shared across
 	// goroutines (its counters are atomic), so a trip in one group promptly
 	// stops the others at their next checkpoint.
-	groups := g.CIGroups()
 	perGroup := make([][]map[int]*nfa.NFA, len(groups))
 	groupTrunc := make([]bool, len(groups))
 	groupErrs := make([]error, len(groups))

@@ -34,24 +34,13 @@ func Equivalent(a, b *NFA) bool {
 	return Subset(a, b) && Subset(b, a)
 }
 
-// ProperSubset reports whether L(a) ⊊ L(b).
-func ProperSubset(a, b *NFA) bool {
-	return Subset(a, b) && !Subset(b, a)
-}
-
-// Fingerprint returns a canonical string identifying L(m): two machines have
-// equal fingerprints iff their languages are equal. The minimal DFA is
+// FingerprintB returns a canonical string identifying L(m): two machines
+// have equal fingerprints iff their languages are equal. The minimal DFA is
 // unique up to state renaming; renaming is fixed by BFS over bytes in
 // ascending order, and transitions are serialized as per-state successor
 // runs so the result is independent of how edge labels were partitioned.
-// The solver uses fingerprints to deduplicate disjunctive assignments.
-func Fingerprint(m *NFA) string {
-	fp, _ := FingerprintB(nil, m) // nil budget cannot fail (see budget.Budget)
-	return fp
-}
-
-// FingerprintB is Fingerprint under a resource budget: the canonicalizing
-// determinization + minimization is accounted against bud.
+// The solver uses fingerprints to deduplicate disjunctive assignments. The
+// canonicalizing determinization + minimization is accounted against bud.
 func FingerprintB(bud *budget.Budget, m *NFA) (string, error) {
 	dd, err := DeterminizeB(bud, m)
 	if err != nil {

@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// unbudgeted unwraps a budgeted construction run with a nil budget, which
+// cannot fail (see budget.Budget).
+func unbudgeted[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func mustAccept(t *testing.T, m *NFA, strs ...string) {
 	t.Helper()
 	for _, s := range strs {

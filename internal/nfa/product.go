@@ -135,14 +135,8 @@ func IntersectB(bud *budget.Budget, a, b *NFA) (*NFA, error) {
 	return newNFA(edges, eps, start, fid), nil
 }
 
-// IntersectAll intersects all given machines left to right.
-// IntersectAll() is Σ*.
-func IntersectAll(ms ...*NFA) *NFA {
-	m, _ := IntersectAllB(nil, ms...) // nil budget cannot fail (see Intersect)
-	return m
-}
-
-// IntersectAllB is IntersectAll under a resource budget.
+// IntersectAllB intersects all given machines left to right under a
+// resource budget. IntersectAllB(bud) is Σ*.
 func IntersectAllB(bud *budget.Budget, ms ...*NFA) (*NFA, error) {
 	if len(ms) == 0 {
 		return AnyString(), nil
@@ -158,22 +152,8 @@ func IntersectAllB(bud *budget.Budget, ms ...*NFA) (*NFA, error) {
 	return out, nil
 }
 
-// ProductStatesVisited returns the number of product states the intersection
-// of a and b materializes. The paper's complexity analysis (§3.5) counts
-// visited NFA states; this hook lets the experiment harness report the same
-// metric.
-func ProductStatesVisited(a, b *NFA) int {
-	return Intersect(a, b).NumStates()
-}
-
-// Intersects reports whether L(a) ∩ L(b) ≠ ∅.
-func Intersects(a, b *NFA) bool {
-	ok, _ := IntersectsB(nil, a, b) // nil budget cannot fail (see budget.Budget)
-	return ok
-}
-
-// IntersectsB is Intersects under a resource budget. Unlike
-// IntersectB-then-IsEmpty it materializes no machine: it walks the
+// IntersectsB reports whether L(a) ∩ L(b) ≠ ∅, under a resource budget.
+// Unlike IntersectB-then-IsEmpty it materializes no machine: it walks the
 // reachable product pairs and exits as soon as the joint final pair is
 // seen, so deciding "the languages meet" stops at the first witness path
 // instead of enumerating the whole product. Emptiness checks (the subset

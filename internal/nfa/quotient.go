@@ -8,14 +8,9 @@ import "dprle/internal/budget"
 // for v is ¬(A⁻¹·(¬C)·B⁻¹). The core package's maximality checker uses them
 // to validate solver output without trusting the solver's own construction.
 
-// LeftQuotient returns A⁻¹X = { w | ∃a ∈ L(a): aw ∈ L(x) }.
-func LeftQuotient(a, x *NFA) *NFA {
-	m, _ := LeftQuotientB(nil, a, x) // nil budget cannot fail (see budget.Budget)
-	return m
-}
-
-// LeftQuotientB is LeftQuotient under a resource budget: the product-state
-// exploration is accounted per visited pair.
+// LeftQuotientB returns A⁻¹X = { w | ∃a ∈ L(a): aw ∈ L(x) } under a
+// resource budget: the product-state exploration is accounted per visited
+// pair.
 func LeftQuotientB(bud *budget.Budget, a, x *NFA) (*NFA, error) {
 	// A state q of x can begin the suffix iff some string of L(a) drives x
 	// from its start to q. Compute the reachable product states of (a, x);
@@ -35,15 +30,10 @@ func LeftQuotientB(bud *budget.Budget, a, x *NFA) (*NFA, error) {
 	return bl.Build(s, off+x.final).Trim(), nil
 }
 
-// RightQuotient returns XB⁻¹ = { w | ∃b ∈ L(b): wb ∈ L(x) }.
-func RightQuotient(x, b *NFA) *NFA {
-	m, _ := RightQuotientB(nil, x, b) // nil budget cannot fail (see budget.Budget)
-	return m
-}
-
-// RightQuotientB is RightQuotient under a resource budget.
+// RightQuotientB returns XB⁻¹ = { w | ∃b ∈ L(b): wb ∈ L(x) } under a
+// resource budget.
 func RightQuotientB(bud *budget.Budget, x, b *NFA) (*NFA, error) {
-	// Symmetric to LeftQuotient via reversal.
+	// Symmetric to LeftQuotientB via reversal.
 	lq, err := LeftQuotientB(bud, Reverse(b), Reverse(x))
 	if err != nil {
 		return nil, err

@@ -62,9 +62,8 @@ type cachedResponse struct {
 func requestKey(req *SolveRequest) string {
 	o := req.Options
 	return solvecache.Key("response", req.System,
-		fmt.Sprintf("sols=%d min=%t raw=%t nomax=%t states=%d steps=%d timeout=%d",
-			o.MaxSolutions, o.Minimize, o.RawConstants, o.NoMaximalize,
-			o.MaxStates, o.MaxSteps, o.TimeoutMS))
+		fmt.Sprintf("sols=%d states=%d steps=%d timeout=%d",
+			o.MaxSolutions, o.MaxStates, o.MaxSteps, o.TimeoutMS))
 }
 
 // cacheable reports whether an answer may be memoized: only complete

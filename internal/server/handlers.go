@@ -184,9 +184,6 @@ func (s *Server) solve(ctx context.Context, req *SolveRequest) (int, any) {
 	}
 	opts := core.Options{
 		MaxSolutions: req.Options.MaxSolutions,
-		Minimize:     req.Options.Minimize,
-		RawConstants: req.Options.RawConstants,
-		NoMaximalize: req.Options.NoMaximalize,
 		Cache:        s.cache,
 		Limits: budget.Limits{
 			MaxStates: clampLimit(req.Options.MaxStates, s.cfg.MaxStates),

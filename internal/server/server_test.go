@@ -139,15 +139,25 @@ func TestSolveParseError(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsUnknownJSONFields also covers the solver ablation knobs,
+// which are not part of the wire protocol: a request sending one is
+// rejected rather than silently solved with the defaults.
 func TestSolveRejectsUnknownJSONFields(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	var resp ErrorResponse
-	code := postSolve(t, ts, "application/json", `{"system": "x <= c;", "bogus": 1}`, &resp)
-	if code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", code)
-	}
-	if resp.Code != CodeBadRequest {
-		t.Errorf("Code = %q, want %q", resp.Code, CodeBadRequest)
+	for _, body := range []string{
+		`{"system": "x <= c;", "bogus": 1}`,
+		`{"system": "x <= c;", "options": {"minimize": true}}`,
+		`{"system": "x <= c;", "options": {"raw_constants": true}}`,
+		`{"system": "x <= c;", "options": {"no_maximalize": true}}`,
+	} {
+		var resp ErrorResponse
+		code := postSolve(t, ts, "application/json", body, &resp)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", body, code)
+		}
+		if resp.Code != CodeBadRequest {
+			t.Errorf("%s: Code = %q, want %q", body, resp.Code, CodeBadRequest)
+		}
 	}
 }
 
@@ -302,14 +312,24 @@ func TestStatuszCounters(t *testing.T) {
 	postSolve(t, ts, "text/plain", unsatSource, nil)
 	postSolve(t, ts, "text/plain", "const broken", nil)
 
-	resp, err := http.Get(ts.URL + "/statusz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	// A worker releases its in-flight slot just after it delivers the
+	// answer, so a client can read the response a moment before the count
+	// drops: poll until it settles rather than racing the worker.
 	var st StatusResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("decoding statusz: %v", err)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		resp, err := http.Get(ts.URL + "/statusz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = StatusResponse{}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("decoding statusz: %v", err)
+		}
+		if st.InFlight == 0 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if st.State != "accepting" {
 		t.Errorf("State = %q, want accepting", st.State)

@@ -22,9 +22,6 @@ type SolveRequest struct {
 // server's configured ceilings, never raised above them.
 type RequestOptions struct {
 	MaxSolutions int   `json:"max_solutions,omitempty"`
-	Minimize     bool  `json:"minimize,omitempty"`
-	RawConstants bool  `json:"raw_constants,omitempty"`
-	NoMaximalize bool  `json:"no_maximalize,omitempty"`
 	MaxStates    int64 `json:"max_states,omitempty"`
 	MaxSteps     int64 `json:"max_steps,omitempty"`
 	TimeoutMS    int64 `json:"timeout_ms,omitempty"`

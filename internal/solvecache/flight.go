@@ -30,6 +30,10 @@ type Call struct {
 	done chan struct{}
 	val  any
 	err  error
+	// followers counts the Joins that shared this call, guarded by the
+	// Flight's mu. It lets a test park every follower before releasing the
+	// leader.
+	followers int
 }
 
 // Done is closed when the leader finishes the call.
@@ -51,6 +55,7 @@ func (f *Flight) Join(key string) (c *Call, leader bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c, ok := f.calls[key]; ok {
+		c.followers++
 		return c, false
 	}
 	c = &Call{done: make(chan struct{})}

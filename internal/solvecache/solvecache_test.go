@@ -2,6 +2,7 @@ package solvecache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -113,14 +114,17 @@ func TestFlightCollapses(t *testing.T) {
 			}
 		}()
 	}
-	// Let followers pile up behind the leader, then release it.
+	// Park all n-1 followers behind the leader, then release it. A
+	// follower that joined only after Finish would lead a fresh call.
 	for {
 		f.mu.Lock()
-		inflight := len(f.calls)
+		c := f.calls["k"]
+		parked := c != nil && c.followers == n-1
 		f.mu.Unlock()
-		if inflight == 1 {
+		if parked {
 			break
 		}
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()
