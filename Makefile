@@ -60,7 +60,7 @@ bench-cache:
 	$(GO) test -bench='BenchmarkCache' -benchtime=1x -run 'TestCacheCorpus' -v .
 
 # Hot-path substrate experiment (DESIGN.md §11): steady-state wall time and
-# allocations for the five NFA hot-path workloads, read against the frozen
+# allocations for the six NFA hot-path workloads, read against the frozen
 # pre-rework baseline carried inside BENCH_hotpath.json and rewritten in
 # place. Bounded so a pathological regression fails instead of hanging CI.
 bench-hotpath:

@@ -5,9 +5,10 @@
 //	BenchmarkSection311       — the disjunctive example of §3.1.1
 //	BenchmarkFigure9GCI       — the shared-variable CI-group of Fig. 9/10
 //	BenchmarkFig12/*          — the seventeen defects of Figure 12
-//	                            (warp/secure takes minutes by design,
-//	                            reproducing the published 577 s row; skipped
-//	                            with -short)
+//	                            (warp/secure, the paper's 577 s
+//	                            large-constant row, is the slowest by an
+//	                            order of magnitude but solves in under a
+//	                            second; skipped with -short)
 //	BenchmarkFig11Generation  — corpus generation for the Figure 11 table
 //	BenchmarkCIStateSweep/*   — §3.5: O(Q²) product growth, single CI
 //	BenchmarkChainedCI/*      — §3.5: chained concat_intersect (O(Q⁵) case)
@@ -103,7 +104,7 @@ func BenchmarkFig12(b *testing.B) {
 		b.Run(d.App+"/"+d.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			if d.Big && testing.Short() {
-				b.Skip("warp/secure takes minutes by design (paper: 577 s); run without -short")
+				b.Skip("warp/secure is the large-constant row (paper: 577 s), the slowest by an order of magnitude; run without -short")
 			}
 			var lastRow experiments.Fig12Row
 			for i := 0; i < b.N; i++ {

@@ -114,7 +114,7 @@ func TestCacheCorpusEquivalence(t *testing.T) {
 
 // TestCacheCorpusSpeedup gates the warm path on counters that repeat
 // exactly rather than on a wall-clock ratio: the cold corpus pass builds
-// 17611 NFA states in 2030 solver checkpoints, and after one fill pass a
+// 17163 NFA states in 1088 solver checkpoints, and after one fill pass a
 // pass over freshly rebuilt systems is answered from the cache alone — 852
 // hits, no new misses or puts, and no state materialized. That avoided work
 // is where the warm speedup comes from; `benchtab -table cache` reports the
@@ -134,8 +134,8 @@ func TestCacheCorpusSpeedup(t *testing.T) {
 		}
 		return states, steps
 	}
-	if states, steps := pass(core.Options{}); states != 17611 || steps != 2030 {
-		t.Errorf("cold pass: %d states, %d steps; want 17611, 2030", states, steps)
+	if states, steps := pass(core.Options{}); states != 17163 || steps != 1088 {
+		t.Errorf("cold pass: %d states, %d steps; want 17163, 1088", states, steps)
 	}
 	cache := solvecache.New(solvecache.Config{})
 	warm := core.Options{Cache: cache}

@@ -2,18 +2,20 @@
 //
 //	benchtab -table fig11        the Figure 11 data-set table
 //	benchtab -table fig12        the Figure 12 per-defect results table
-//	benchtab -table fig12 -full  … including the warp/secure pathological
-//	                             case (takes minutes, like the paper's 577 s)
+//	benchtab -table fig12 -full  … including the warp/secure large-constant
+//	                             case (the paper's 577 s row; under a second
+//	                             here)
 //	benchtab -table fig12 -full -timeout 2s
-//	                             … with a per-path solve budget: the
-//	                             pathological row records a budget trip in
-//	                             its "exh" column instead of running for
-//	                             minutes
+//	                             … with a per-path solve budget: a row whose
+//	                             solve outlives it records the budget trip
+//	                             in its "exh" column
 //
 // Each fig12 row also reports the solver's budget counters (NFA states
 // materialized, checkpoints passed, exhausted paths).
 //
 //	benchtab -table complexity   the §3.5 complexity sweeps
+//	benchtab -table ablation     the solver-option ablation on utopia/styles,
+//	                             and with -full on warp/secure too
 //	benchtab -table cache        the solve-cache cold/warm experiment on the
 //	                             fig12 corpus; also writes the report as JSON
 //	                             to -cache-json (default BENCH_cache.json)
@@ -21,12 +23,12 @@
 //	                             strlang fixture drill; also writes the report
 //	                             as JSON to -lint-json (default BENCH_lint.json)
 //	benchtab -table hotpath      the NFA hot-path workloads (product chains,
-//	                             induce loop, determinize, DFA membership,
-//	                             corpus solve) with wall time and allocation
-//	                             counts; compares against the frozen baseline
-//	                             in -hotpath-baseline and writes the combined
-//	                             report to -hotpath-json (default
-//	                             BENCH_hotpath.json for both)
+//	                             induce loop, determinize, minimize, DFA
+//	                             membership, corpus solve) with wall time and
+//	                             allocation counts; compares against the
+//	                             frozen baseline in -hotpath-baseline and
+//	                             writes the combined report to -hotpath-json
+//	                             (default BENCH_hotpath.json for both)
 //	benchtab -table all          everything (without -full, secure is skipped)
 //
 // Measured values are printed alongside the published ones so the shape of
@@ -55,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		table     = fs.String("table", "all", "fig11, fig12, complexity, ablation, cache, lint, hotpath, or all")
-		full      = fs.Bool("full", false, "include the pathological warp/secure case in fig12")
+		full      = fs.Bool("full", false, "include the warp/secure large-constant case in fig12 and ablation")
 		minimize  = fs.Bool("minimize", false, "solve with intermediate-machine minimization (ablation)")
 		timeout   = fs.Duration("timeout", 0, "per-path solve deadline for fig12; exhausted paths are recorded, not fatal (0 = none)")
 		maxStates = fs.Int64("max-states", 0, "per-path cap on NFA states materialized (0 = unlimited)")
@@ -97,13 +99,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	runAblation := func() int {
-		const defect = "utopia/styles"
-		rows, err := experiments.Ablation(defect)
-		if err != nil {
-			fmt.Fprintf(stderr, "benchtab: %v\n", err)
-			return 2
+		defects := []string{"utopia/styles"}
+		if *full {
+			defects = append(defects, "warp/secure")
 		}
-		fmt.Fprintln(stdout, experiments.FormatAblation(defect, rows))
+		for _, defect := range defects {
+			rows, err := experiments.Ablation(defect)
+			if err != nil {
+				fmt.Fprintf(stderr, "benchtab: %v\n", err)
+				return 2
+			}
+			fmt.Fprintln(stdout, experiments.FormatAblation(defect, rows))
+		}
 		return 0
 	}
 	runCache := func() int {

@@ -99,9 +99,9 @@ func TestCorpusOutputGolden(t *testing.T) {
 		entry     string
 		got, want corpusWork
 	}{
-		{"SolveCtx", solve, corpusWork{states: 17941, steps: 2076}},
-		{"SolveForCtx", solveFor, corpusWork{states: 17611, steps: 2030}},
-		{"DecideCtx", decide, corpusWork{states: 17941, steps: 2076}},
+		{"SolveCtx", solve, corpusWork{states: 17493, steps: 1130}},
+		{"SolveForCtx", solveFor, corpusWork{states: 17163, steps: 1088}},
+		{"DecideCtx", decide, corpusWork{states: 17493, steps: 1130}},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s over the corpus: %d states, %d steps; want %d, %d",

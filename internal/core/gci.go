@@ -57,42 +57,98 @@ type gciSolver struct {
 // memoized across solves under the raw machine's canonical key, so a
 // constant's minimization cost is paid once per structure process-wide
 // rather than once per solve.
+//
+// The cache also serves each constant's complement, memoized per solve:
+// the subset checks of gci and maximalization test a language against a
+// constant as emptiness against its complement. A constant minimized in
+// this solve keeps its minimal DFA, whose complement is the same machine
+// with its accepting states flipped, so the constant is determinized once
+// per solve. The memo lives here rather than on the shared machine, so a
+// solve's Usage does not depend on which solve complemented it first.
 type constCache struct {
 	raw    bool
 	bud    *budget.Budget
-	canon  map[*Const]*nfa.NFA
+	canon  map[*Const]*constForms
 	shared *solvecache.Cache
 }
 
+// constForms holds the forms of one constant a solve has derived.
+type constForms struct {
+	m   *nfa.NFA // the canonical machine, or the raw one (RawConstants)
+	dfa *nfa.DFA // m's minimal DFA; nil when m came from the shared cache or is raw
+	not *nfa.NFA // the complement of m, once asked for
+}
+
 func newConstCache(opts Options, bud *budget.Budget) *constCache {
-	return &constCache{raw: opts.RawConstants, bud: bud, canon: map[*Const]*nfa.NFA{}, shared: opts.Cache}
+	return &constCache{raw: opts.RawConstants, bud: bud, canon: map[*Const]*constForms{}, shared: opts.Cache}
 }
 
 func (cc *constCache) get(c *Const) *nfa.NFA {
-	if cc.raw {
-		return c.Lang
+	return cc.forms(c).m
+}
+
+// complement returns a machine for Σ* \ L(c). Only the complement of a
+// machine without a minimal DFA at hand costs a determinization.
+func (cc *constCache) complement(c *Const) (*nfa.NFA, error) {
+	f := cc.forms(c)
+	if f.not != nil {
+		return f.not, nil
 	}
-	if m, ok := cc.canon[c]; ok {
-		return m
+	if f.dfa != nil {
+		f.not = f.dfa.Complement().ToNFA()
+		return f.not, nil
+	}
+	not, err := nfa.ComplementB(cc.bud, f.m)
+	if err != nil {
+		return nil, err
+	}
+	f.not = not
+	return not, nil
+}
+
+// forms returns the memoized forms of c. A degraded constant (the budget
+// tripped mid-minimization) is served raw and not memoized.
+func (cc *constCache) forms(c *Const) *constForms {
+	if f, ok := cc.canon[c]; ok {
+		return f
+	}
+	if cc.raw {
+		f := &constForms{m: c.Lang}
+		cc.canon[c] = f
+		return f
 	}
 	var key string
 	if cc.shared != nil {
 		key = solvecache.Key("const", c.Lang.CanonicalKey())
 		if v, ok := cc.shared.Get(key); ok {
-			m := v.(*nfa.NFA)
-			cc.canon[c] = m
-			return m
+			f := &constForms{m: v.(*nfa.NFA)}
+			cc.canon[c] = f
+			return f
 		}
 	}
-	m, err := nfa.MinimizedB(cc.bud, c.Lang)
+	d, err := nfa.DeterminizeB(cc.bud, c.Lang)
+	if err == nil {
+		d, err = d.MinimizeB(cc.bud)
+	}
 	if err != nil {
-		return c.Lang // budget tripped: degrade to the equivalent raw machine
+		return &constForms{m: c.Lang} // budget tripped: degrade to the equivalent raw machine
 	}
-	cc.canon[c] = m
+	f := &constForms{m: d.ToNFA(), dfa: d}
+	cc.canon[c] = f
 	if cc.shared != nil && cc.bud.Err() == nil {
-		cc.shared.Put(key, m, machineCost(m))
+		cc.shared.Put(key, f.m, machineCost(f.m))
 	}
-	return m
+	return f
+}
+
+// merge adopts the constants another cache of the same solve derived,
+// keeping this cache's own forms where both have one.
+func (cc *constCache) merge(o *constCache) {
+	for c, f := range o.canon {
+		if _, ok := cc.canon[c]; !ok {
+			cc.canon[c] = f
+		}
+	}
 }
 
 // rootInfo describes one root machine of the group: a temp vertex that is
@@ -507,11 +563,15 @@ func (s *gciSolver) comboSatisfies(group []int, sol map[int]*nfa.NFA) (bool, err
 		}
 		lang := evalNode(id)
 		for _, c := range s.g.SubsetsInto(id) {
-			ok, err := nfa.SubsetB(s.bud, lang, s.canon.get(c))
+			notc, err := s.canon.complement(c)
 			if err != nil {
 				return false, err
 			}
-			if !ok {
+			bad, err := nfa.IntersectsB(s.bud, lang, notc)
+			if err != nil {
+				return false, err
+			}
+			if bad {
 				return false, nil
 			}
 		}

@@ -23,19 +23,20 @@ import (
 // a resource budget it degrades: when the budget trips mid-fixpoint, the
 // current (verified) assignment is returned unchanged instead of failing.
 
-// maximizer maximalizes assignments against one system, caching the
-// complement machines of constraint right-hand sides across calls.
+// maximizer maximalizes assignments against one system, taking the
+// complement machines of constraint right-hand sides from the solve's
+// constant cache.
 type maximizer struct {
 	sys    *System
-	bud    *budget.Budget   // nil means unlimited
+	bud    *budget.Budget // nil means unlimited
+	consts *constCache
 	cons   []Constraint     // desugared
 	byVar  map[string][]int // var name → indices into cons mentioning it
-	notRhs map[*Const]*nfa.NFA
 	rounds int
 }
 
-func newMaximizer(s *System, bud *budget.Budget) *maximizer {
-	m := &maximizer{sys: s, bud: bud, cons: s.desugared(), byVar: map[string][]int{}, notRhs: map[*Const]*nfa.NFA{}, rounds: 8}
+func newMaximizer(s *System, consts *constCache, bud *budget.Budget) *maximizer {
+	m := &maximizer{sys: s, bud: bud, consts: consts, cons: s.desugared(), byVar: map[string][]int{}, rounds: 8}
 	for i, c := range m.cons {
 		for _, leaf := range flattenCat(c.Lhs) {
 			if v, ok := leaf.(Var); ok {
@@ -54,7 +55,7 @@ func newMaximizer(s *System, bud *budget.Budget) *maximizer {
 func (m *maximizer) satisfiesTouching(v string, a Assignment) (bool, error) {
 	for _, i := range m.byVar[v] {
 		c := m.cons[i]
-		notc, err := m.notC(c.Rhs)
+		notc, err := m.consts.complement(c.Rhs)
 		if err != nil {
 			return false, err
 		}
@@ -67,18 +68,6 @@ func (m *maximizer) satisfiesTouching(v string, a Assignment) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-func (m *maximizer) notC(c *Const) (*nfa.NFA, error) {
-	if n, ok := m.notRhs[c]; ok {
-		return n, nil
-	}
-	n, err := nfa.ComplementB(m.bud, c.Lang)
-	if err != nil {
-		return nil, err
-	}
-	m.notRhs[c] = n
-	return n, nil
 }
 
 // bound computes the largest language variable v may hold, given the other
@@ -97,7 +86,7 @@ func (m *maximizer) bound(v string, a Assignment) (*nfa.NFA, bool, error) {
 			constrained = true
 			prefix := evalSlice(a, leaves[:i])
 			suffix := evalSlice(a, leaves[i+1:])
-			notc, err := m.notC(c.Rhs)
+			notc, err := m.consts.complement(c.Rhs)
 			if err != nil {
 				return nil, false, err
 			}

@@ -16,7 +16,7 @@ import (
 func TestExploitsValidateConcretely(t *testing.T) {
 	for _, d := range Defects() {
 		if d.Big {
-			continue // minutes by design; covered by the benchmark harness
+			continue // the large-constant case; the benchmark harness replays its exploit
 		}
 		d := d
 		t.Run(d.App+"/"+d.Name, func(t *testing.T) {

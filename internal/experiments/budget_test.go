@@ -7,14 +7,15 @@ import (
 
 	"dprle/internal/core"
 	"dprle/internal/corpus"
+	"dprle/internal/nfa"
 )
 
 // TestSecureRawConstantsUnderBudget is the acceptance check for the
 // resource-governance work: the paper's pathological warp/secure case with
-// raw (uncanonicalized) constants — minutes of solving when unbudgeted —
-// completes promptly under a 2 s per-path deadline. The exhausted paths are
-// recorded, any results that do come back are verified partials, and no
-// solver goroutines leak.
+// raw (uncanonicalized) constants — about 20 s of solving when unbudgeted,
+// against half a second canonicalized — completes promptly under a 2 s
+// per-path deadline. The exhausted paths are recorded, any results that do
+// come back are verified partials, and no solver goroutines leak.
 func TestSecureRawConstantsUnderBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second budget run")
@@ -75,5 +76,53 @@ func TestOrdinaryDefectUnaffectedByBudget(t *testing.T) {
 	}
 	if budgeted.SolveStates == 0 || budgeted.SolveSteps == 0 {
 		t.Errorf("budget counters empty: states=%d steps=%d", budgeted.SolveStates, budgeted.SolveSteps)
+	}
+}
+
+// TestSecureVerdictCounters pins warp/secure's verdict by its exact work
+// counters. The solve runs under a step cap four times the pinned count, so
+// a minimizer that goes quadratic again (one checkpoint per refinement
+// round, thousands of rounds on the query literal) trips the cap within
+// about a second instead of taking many seconds or passing.
+func TestSecureVerdictCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves warp/secure")
+	}
+	const states, steps = 44942, 123
+	d, _ := corpus.DefectByName("warp/secure")
+	row, err := RunDefectBudget(d, core.Options{}, 0, 0, 4*steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Findings != 1 || row.Exploit != "'0" || row.ExhaustedPaths != 0 {
+		t.Fatalf("%d findings, exploit %q, %d exhausted paths; want 1, \"'0\", 0",
+			row.Findings, row.Exploit, row.ExhaustedPaths)
+	}
+	if row.SolveStates != states || row.SolveSteps != steps {
+		t.Errorf("solve: %d states, %d steps; want %d, %d", row.SolveStates, row.SolveSteps, states, steps)
+	}
+
+	// Canonicalizing the system's constants shrinks them from 11,320 to
+	// 7,016 states, the perfbench nfa.canon_states_in/out of seed 1.
+	systems, err := defectSystems(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in, out int
+	for _, ps := range systems {
+		for _, n := range core.BuildGraph(ps.Sys).Nodes {
+			if n.Kind != core.ConstNode {
+				continue
+			}
+			m, err := nfa.MinimizedB(nil, n.Con.Lang)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in += n.Con.Lang.NumStates()
+			out += m.NumStates()
+		}
+	}
+	if in != 11320 || out != 7016 {
+		t.Errorf("canonicalizing the constants: %d → %d states; want 11320 → 7016", in, out)
 	}
 }

@@ -25,34 +25,46 @@ import (
 // service sees. Each call rebuilds the systems from scratch, so callers can
 // solve a batch repeatedly without sharing machine state between runs.
 func CorpusSystems(skipBig bool) ([]*symexec.PathSystem, error) {
-	cfgc := symexec.DefaultConfig()
 	var systems []*symexec.PathSystem
 	for _, d := range corpus.Defects() {
 		if skipBig && d.Big {
 			continue
 		}
-		src, err := corpus.Source(d)
+		ds, err := defectSystems(d)
 		if err != nil {
 			return nil, err
 		}
-		prog, err := lang.Parse(d.Name+".php", src)
+		systems = append(systems, ds...)
+	}
+	return systems, nil
+}
+
+// defectSystems returns the constraint systems of one defect's paths to a
+// sink that read attacker-controlled data.
+func defectSystems(d corpus.Defect) ([]*symexec.PathSystem, error) {
+	cfgc := symexec.DefaultConfig()
+	src, err := corpus.Source(d)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := lang.Parse(d.Name+".php", src)
+	if err != nil {
+		return nil, err
+	}
+	var systems []*symexec.PathSystem
+	for _, p := range cfg.PathsToSinks(prog, cfgc.MaxPaths) {
+		pol := cfgc.SQL
+		if p.Kind == cfg.SinkXSS {
+			pol = cfgc.XSS
+		}
+		ps, err := symexec.ForPath(p, pol)
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range cfg.PathsToSinks(prog, cfgc.MaxPaths) {
-			pol := cfgc.SQL
-			if p.Kind == cfg.SinkXSS {
-				pol = cfgc.XSS
-			}
-			ps, err := symexec.ForPath(p, pol)
-			if err != nil {
-				return nil, err
-			}
-			if len(ps.Inputs) == 0 {
-				continue
-			}
-			systems = append(systems, ps)
+		if len(ps.Inputs) == 0 {
+			continue
 		}
+		systems = append(systems, ps)
 	}
 	return systems, nil
 }

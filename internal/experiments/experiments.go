@@ -119,17 +119,16 @@ func RunDefectBudget(d corpus.Defect, opts core.Options, pathTimeout time.Durati
 	return row, nil
 }
 
-// Figure12 runs every defect. When skipBig is set the pathological
-// warp/secure case is skipped (it takes minutes by design, reproducing the
-// paper's 577 s row); pass false to measure it too.
+// Figure12 runs every defect. When skipBig is set the warp/secure
+// large-constant case (the paper's 577 s row) is skipped; pass false to
+// measure it too.
 func Figure12(opts core.Options, skipBig bool) ([]Fig12Row, error) {
 	return Figure12Budget(opts, skipBig, 0, 0, 0)
 }
 
 // Figure12Budget is Figure12 under per-path solver budgets (see
-// RunDefectBudget). With a deadline set, the pathological row can be
-// included without the multi-minute wait: its solve trips the budget and
-// the row records the exhaustion instead.
+// RunDefectBudget). With a deadline set, a row whose solve outlives it
+// records the exhaustion instead of waiting the solve out.
 func Figure12Budget(opts core.Options, skipBig bool, pathTimeout time.Duration, maxStates, maxSteps int64) ([]Fig12Row, error) {
 	var rows []Fig12Row
 	for _, d := range corpus.Defects() {

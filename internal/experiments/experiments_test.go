@@ -51,8 +51,8 @@ func TestRunDefectMeasuresMetrics(t *testing.T) {
 
 // TestFigure12Shape verifies the paper's headline evaluation claims on the
 // sixteen ordinary defects: every one yields attack inputs, and every one
-// solves in far less than a second. (warp/secure — the 577 s pathological
-// row — is validated by the benchmark harness; it takes minutes by design.)
+// solves in far less than a second. (warp/secure — the paper's 577 s
+// large-constant row — is pinned by TestSecureVerdictCounters.)
 func TestFigure12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus run in -short mode")

@@ -3,15 +3,16 @@ package experiments
 // The hot-path experiment: steady-state measurements of the NFA substrate
 // operations the solver spends its time in — chained cross-products with
 // trimming (gci stage 1/2), the induce-per-seam loop (gci stage 4 / ci),
-// determinization, DFA membership, and a full corpus solve — each reported
-// as wall time plus heap allocations. cmd/benchtab renders the report with
-// -table hotpath and emits it machine-readably as BENCH_hotpath.json,
-// carrying a frozen baseline (captured before the zero-copy/bitset rework)
-// so every run shows the speedup trajectory.
+// determinization, minimization, DFA membership, and a full corpus solve —
+// each reported as wall time plus heap allocations. cmd/benchtab renders the
+// report with -table hotpath and emits it machine-readably as
+// BENCH_hotpath.json, carrying a frozen baseline (captured before the
+// zero-copy/bitset rework) so every run shows the speedup trajectory.
 
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"dprle/internal/core"
@@ -105,7 +106,7 @@ func hotpathMeasure(name string, iters int, fn func()) HotpathRow {
 	}
 }
 
-// HotpathExperiment measures the five hot-path workloads. skipBig excludes
+// HotpathExperiment measures the six hot-path workloads. skipBig excludes
 // the pathological warp/secure defect from the corpus row, matching the
 // cache experiment's default.
 func HotpathExperiment(skipBig bool) (HotpathReport, error) {
@@ -167,6 +168,24 @@ func HotpathExperiment(skipBig bool) (HotpathReport, error) {
 		dfa = nfa.Determinize(dm)
 	}))
 
+	// minimize: Hopcroft's refinement on the DFA of a 2,000-byte literal,
+	// the shape of the long query constants the solver canonicalizes. The
+	// chain is already minimal, and refining it round by round takes one
+	// round per state. It is determinized once, outside the timed loop.
+	var text strings.Builder
+	for i := 0; text.Len() < 2000; i++ {
+		fmt.Fprintf(&text, "col_%02d_%02d,", i/8, i%8)
+	}
+	chain := nfa.Determinize(nfa.Literal(text.String()[:2000]))
+	var minimal *nfa.DFA
+	rep.Rows = append(rep.Rows, hotpathMeasure("minimize", 20, func() {
+		minimal = chain.Minimize()
+	}))
+	if minimal.NumStates() != chain.NumStates() {
+		return rep, fmt.Errorf("hotpath: minimizing a minimal %d-state chain gave %d states",
+			chain.NumStates(), minimal.NumStates())
+	}
+
 	// dfa-membership: byte-at-a-time acceptance on the determinized
 	// machine — the atom-lookup path.
 	word := ""
@@ -220,9 +239,19 @@ func FormatHotpath(f HotpathFile) string {
 		out += fmt.Sprintf("  %-14s %12s %12d %14d",
 			row.Name, wall, row.Allocs/int64(row.Iters), row.Bytes/int64(row.Iters))
 		if f.Baseline != nil {
-			out += fmt.Sprintf(" %8.1fx %8.1fx", f.Speedup[row.Name], f.AllocRatio[row.Name])
+			out += " " + ratioCell(f.Speedup, row.Name) + " " + ratioCell(f.AllocRatio, row.Name)
 		}
 		out += "\n"
 	}
 	return out
+}
+
+// ratioCell renders one baseline ratio column, blank for a workload the
+// baseline does not have.
+func ratioCell(ratios map[string]float64, name string) string {
+	r, ok := ratios[name]
+	if !ok {
+		return fmt.Sprintf("%9s", "-")
+	}
+	return fmt.Sprintf("%8.1fx", r)
 }

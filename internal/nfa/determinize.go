@@ -1,8 +1,6 @@
 package nfa
 
 import (
-	"encoding/binary"
-
 	"dprle/internal/budget"
 )
 
@@ -66,9 +64,19 @@ func Determinize(m *NFA) *DFA {
 // construction aborts with the budget's *Exhausted error when the budget
 // trips. Determinization is the solver's worst-case-exponential step (the
 // complement-based subset and maximality machinery all route through it),
-// so this is where state caps bite first.
+// so this is where state caps bite first. A machine that is already
+// deterministic (see deterministic) takes a path that keys subsets by
+// state id; it builds the same DFA with the same budget charges.
 func DeterminizeB(bud *budget.Budget, m *NFA) (*DFA, error) {
 	atoms := Partition(m.allLabels())
+	if m.deterministic() {
+		return determinizeStates(bud, m, atoms)
+	}
+	return determinizeSubsets(bud, m, atoms)
+}
+
+// determinizeSubsets is the subset construction over bitset state sets.
+func determinizeSubsets(bud *budget.Budget, m *NFA, atoms []CharSet) (*DFA, error) {
 	start := m.startClosure()
 	// Subsets are keyed by their raw bitset words: a fixed-width binary
 	// encoding, no per-state formatting, one string allocation per probe.
@@ -112,6 +120,77 @@ func DeterminizeB(bud *budget.Budget, m *NFA) (*DFA, error) {
 	return newDFA(atoms, trans, accept, 0), nil
 }
 
+// deterministic reports whether no state of m has an ε-edge and the edge
+// labels of each state are pairwise disjoint. Every subset the construction
+// reaches in such a machine is then one state or empty. Every non-empty
+// Literal qualifies.
+func (m *NFA) deterministic() bool {
+	for s, edges := range m.edges {
+		if len(m.eps[s]) > 0 {
+			return false
+		}
+		var seen CharSet
+		for _, e := range edges {
+			if seen.Intersects(e.Label) {
+				return false
+			}
+			seen = seen.Union(e.Label)
+		}
+	}
+	return true
+}
+
+// determinizeStates is the subset construction for a deterministic machine.
+// The subset {q} is keyed by q and the empty subset by -1, where the bitset
+// path keys each subset by a bitset as wide as the machine. Expanding
+// subsets in the same order, it numbers the DFA states as determinizeSubsets
+// does and charges the same states to bud.
+func determinizeStates(bud *budget.Budget, m *NFA, atoms []CharSet) (*DFA, error) {
+	const empty = -1
+	id := make([]int, m.NumStates()+1) // id[q+1] is the DFA state of {q}, id[0] that of ∅
+	for i := range id {
+		id[i] = -1
+	}
+	var states []int
+	var trans [][]int
+	var accept []bool
+	add := func(q int) int {
+		if d := id[q+1]; d >= 0 {
+			return d
+		}
+		d := len(states)
+		id[q+1] = d
+		states = append(states, q)
+		trans = append(trans, make([]int, len(atoms)))
+		accept = append(accept, q == m.final)
+		return d
+	}
+	add(m.start)
+	for qi := 0; qi < len(states); qi++ {
+		if err := bud.AddStates(1, "nfa.determinize"); err != nil {
+			return nil, err
+		}
+		q := states[qi]
+		for ai, atom := range atoms {
+			rep, ok := atom.Min()
+			if !ok {
+				continue
+			}
+			next := empty
+			if q != empty {
+				for _, e := range m.edges[q] {
+					if e.Label.Contains(rep) {
+						next = e.To
+						break
+					}
+				}
+			}
+			trans[qi][ai] = add(next)
+		}
+	}
+	return newDFA(atoms, trans, accept, 0), nil
+}
+
 // Complement returns a DFA recognizing Σ* \ L(d).
 func (d *DFA) Complement() *DFA {
 	accept := make([]bool, len(d.accept))
@@ -142,82 +221,209 @@ func (d *DFA) IsEmpty() bool {
 	return true
 }
 
-// Minimize returns the canonical minimal DFA for L(d), computed by Moore's
-// partition-refinement algorithm over the DFA's atom classes.
+// Minimize returns the canonical minimal DFA for L(d).
 func (d *DFA) Minimize() *DFA {
 	m, _ := d.MinimizeB(nil) // nil budget cannot fail (see budget.Budget)
 	return m
 }
 
-// MinimizeB is Minimize under a resource budget, checkpointing once per
-// refinement round (each round is O(states · atoms)).
+// minimizeCheckEvery is how many splitters MinimizeB processes between
+// budget checkpoints.
+const minimizeCheckEvery = 256
+
+// MinimizeB is Minimize under a resource budget. It is Hopcroft's partition
+// refinement (Hopcroft 1971) over the DFA's atom classes, on the refinable
+// partition of Valmari & Lehtinen (STACS 2008): starting from accepting vs.
+// non-accepting, each splitter block cuts every block into the states that
+// do and do not enter it on an atom, and only the smaller half of a cut
+// becomes a new splitter. A state therefore enters O(log n) splitters, and
+// the refinement costs O(n·k·log n) for n states and k atoms, where Moore's
+// round-by-round refinement needs up to n rounds of O(n·k) each (a chain
+// of n states needs all n). It checkpoints the nfa.minimize stage on entry
+// and after every minimizeCheckEvery splitters.
+//
+// Classes are numbered as Moore's refinement numbers them: an unrefined
+// partition keeps non-accepting states at 0 and accepting states at 1, and
+// a refined one is numbered by first member in state order. The minimal DFA
+// is then the same machine state for state, so the machines built from it,
+// and the order in which the solver enumerates their seams, do not depend
+// on the refinement algorithm.
 func (d *DFA) MinimizeB(bud *budget.Budget) (*DFA, error) {
-	n := d.NumStates()
-	// Initial partition: accepting vs non-accepting.
-	class := make([]int, n)
-	numClasses := 1
-	anyAccept := false
-	for _, a := range d.accept {
-		if a {
-			anyAccept = true
+	if err := bud.Check("nfa.minimize"); err != nil {
+		return nil, err
+	}
+	n, k := d.NumStates(), len(d.atoms)
+	// The inverse transition function, flattened: the states whose atom-a
+	// transition enters t are pred[at[a*n+t]:at[a*n+t+1]], in state order.
+	at := make([]int, n*k+1)
+	for _, row := range d.trans {
+		for a, t := range row {
+			at[a*n+t+1]++
 		}
 	}
-	if anyAccept {
-		numClasses = 2
-		for s := 0; s < n; s++ {
-			if d.accept[s] {
-				class[s] = 1
-			}
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	pred := make([]int, n*k)
+	for q, row := range d.trans {
+		for a, t := range row {
+			pred[at[a*n+t]] = q
+			at[a*n+t]++
 		}
 	}
-	for {
-		if err := bud.Check("nfa.minimize"); err != nil {
-			return nil, err
+	copy(at[1:], at[:n*k]) // the fill advanced each start to the next one's
+	at[0] = 0
+
+	p := newBlocks(d.accept)
+	initial := len(p.first)
+	var work []int
+	if initial == 2 {
+		// The whole state set splits nothing in a complete DFA, so one of
+		// accepting/non-accepting suffices as the first splitter.
+		if p.size(0) <= p.size(1) {
+			work = append(work, 0)
+		} else {
+			work = append(work, 1)
 		}
-		// Signature of a state: (class, successor classes per atom),
-		// varint-encoded — one key allocation per state, no formatting.
-		sig := make([]string, n)
-		var sb []byte
-		for s := 0; s < n; s++ {
-			sb = binary.AppendUvarint(sb[:0], uint64(class[s]))
-			for _, t := range d.trans[s] {
-				sb = binary.AppendUvarint(sb, uint64(class[t]))
+	}
+	var splitter []int
+	for popped := 0; len(work) > 0; popped++ {
+		if popped > 0 && popped%minimizeCheckEvery == 0 {
+			if err := bud.Check("nfa.minimize"); err != nil {
+				return nil, err
 			}
-			sig[s] = string(sb)
 		}
-		next := map[string]int{}
-		newClass := make([]int, n)
-		for s := 0; s < n; s++ {
-			id, ok := next[sig[s]]
-			if !ok {
-				id = len(next)
-				next[sig[s]] = id
+		b := work[len(work)-1]
+		work = work[:len(work)-1]
+		// Snapshot the splitter: cutting by a set that was a block stays
+		// sound after the block itself is cut, and its new half is queued.
+		splitter = append(splitter[:0], p.elems[p.first[b]:p.end[b]]...)
+		for a := 0; a < k; a++ {
+			for _, t := range splitter {
+				for _, q := range pred[at[a*n+t]:at[a*n+t+1]] {
+					p.mark(q)
+				}
 			}
-			newClass[s] = id
+			// A cut block's smaller half is always queued: if the block
+			// was queued, both halves now are; if not, Hopcroft's rule
+			// queues only the smaller one.
+			work = p.split(work)
 		}
-		if len(next) == numClasses {
-			break
+	}
+
+	class := p.of
+	numClasses := len(p.first)
+	if numClasses > initial {
+		ren := make([]int, numClasses)
+		for i := range ren {
+			ren[i] = -1
 		}
-		numClasses = len(next)
-		class = newClass
+		class = make([]int, n)
+		next := 0
+		for s, b := range p.of {
+			if ren[b] < 0 {
+				ren[b] = next
+				next++
+			}
+			class[s] = ren[b]
+		}
 	}
 	trans := make([][]int, numClasses)
 	accept := make([]bool, numClasses)
-	done := make([]bool, numClasses)
+	flat := make([]int, numClasses*k)
 	for s := 0; s < n; s++ {
 		c := class[s]
-		if done[c] {
+		if trans[c] != nil {
 			continue
 		}
-		done[c] = true
-		row := make([]int, len(d.atoms))
-		for ai, t := range d.trans[s] {
-			row[ai] = class[t]
+		row := flat[c*k : (c+1)*k : (c+1)*k]
+		for a, t := range d.trans[s] {
+			row[a] = class[t]
 		}
 		trans[c] = row
 		accept[c] = d.accept[s]
 	}
 	return &DFA{atoms: d.atoms, atomOf: d.atomOf, trans: trans, accept: accept, start: class[d.start]}, nil
+}
+
+// blocks is a refinable partition of DFA states (Valmari & Lehtinen): each
+// block's states sit contiguously in elems, with its marked states gathered
+// at the front of its range, so cutting the marked part off a block moves
+// no state between ranges and relabels only the states of the new block.
+type blocks struct {
+	elems      []int // states, grouped by block
+	loc        []int // loc[s] is the position of s in elems
+	of         []int // of[s] is the block of s
+	first, end []int // block b holds elems[first[b]:end[b]]
+	mid        []int // elems[first[b]:mid[b]] are b's marked states
+	touched    []int // blocks with a marked state
+}
+
+// newBlocks partitions the states into non-accepting (block 0 when there
+// is one) and accepting, leaving out an empty side.
+func newBlocks(accept []bool) *blocks {
+	n := len(accept)
+	p := &blocks{elems: make([]int, 0, n), loc: make([]int, n), of: make([]int, n)}
+	for _, side := range []bool{false, true} {
+		lo := len(p.elems)
+		for s, a := range accept {
+			if a == side {
+				p.loc[s], p.of[s] = len(p.elems), len(p.first)
+				p.elems = append(p.elems, s)
+			}
+		}
+		if len(p.elems) > lo {
+			p.first = append(p.first, lo)
+			p.end = append(p.end, len(p.elems))
+			p.mid = append(p.mid, lo)
+		}
+	}
+	return p
+}
+
+func (p *blocks) size(b int) int { return p.end[b] - p.first[b] }
+
+// mark moves s into the marked front of its block.
+func (p *blocks) mark(s int) {
+	b, i := p.of[s], p.loc[s]
+	m := p.mid[b]
+	if i < m {
+		return
+	}
+	if m == p.first[b] {
+		p.touched = append(p.touched, b)
+	}
+	o := p.elems[m]
+	p.elems[i], p.elems[m] = o, s
+	p.loc[o], p.loc[s] = i, m
+	p.mid[b] = m + 1
+}
+
+// split cuts every touched block into its marked and unmarked states,
+// unless all of them are marked. The smaller part becomes a new block,
+// whose id split appends to work; the larger keeps the old id.
+func (p *blocks) split(work []int) []int {
+	for _, b := range p.touched {
+		lo, m, hi := p.first[b], p.mid[b], p.end[b]
+		p.mid[b] = lo
+		if m == hi {
+			continue
+		}
+		nb := len(p.first)
+		if m-lo <= hi-m {
+			p.first, p.end, p.mid = append(p.first, lo), append(p.end, m), append(p.mid, lo)
+			p.first[b], p.mid[b] = m, m
+		} else {
+			p.first, p.end, p.mid = append(p.first, m), append(p.end, hi), append(p.mid, m)
+			p.end[b] = m
+		}
+		for _, s := range p.elems[p.first[nb]:p.end[nb]] {
+			p.of[s] = nb
+		}
+		work = append(work, nb)
+	}
+	p.touched = p.touched[:0]
+	return work
 }
 
 // ToNFA converts d back to a (single-start, single-final) NFA, introducing a

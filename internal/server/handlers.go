@@ -104,16 +104,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	// Admit: count in-flight first, then re-check the drain state so a
 	// Drain that raced us either sees our wg.Add or we see its state flip.
+	// An admitted task's worker calls leave and release; the admission
+	// failures below, before the task is ever submitted, call both here.
 	s.wg.Add(1)
 	s.inflight.Add(1)
-	release := func() {
-		// Called exactly once: by the worker via task.release, or below on
-		// the admission-failure paths before the task is ever submitted.
-		s.inflight.Add(-1)
-		s.wg.Done()
-	}
+	leave := func() { s.inflight.Add(-1) }
 	if s.draining() {
-		release()
+		leave()
+		s.wg.Done()
 		answer(http.StatusServiceUnavailable, drainingBody())
 		return
 	}
@@ -123,13 +121,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	t := &task{
 		ctx:     ctx,
 		done:    make(chan outcome, 1),
-		release: release,
+		leave:   leave,
+		release: s.wg.Done,
 		do: func(ctx context.Context) (int, any) {
 			return s.solve(ctx, req)
 		},
 	}
 	if err := s.pool.submit(t); err != nil {
-		release()
+		leave()
+		s.wg.Done()
 		if errors.Is(err, errPoolClosed) {
 			answer(http.StatusServiceUnavailable, drainingBody())
 			return

@@ -24,17 +24,22 @@ type outcome struct {
 
 // task is one admitted solve. The worker is the only sender on done (its
 // capacity-1 buffer means delivery never blocks, even when the handler has
-// already abandoned the request), and release is called exactly once per
-// admitted task — by the worker when it finishes, skips, or panics.
+// already abandoned the request). leave and release are each called exactly
+// once per admitted task, by the worker when it finishes, skips, or panics:
+// leave just before the outcome is delivered, so the in-flight gauge never
+// counts a request whose client already has its answer, and release after
+// it, so a drain waits until every answer has been handed over.
 type task struct {
 	ctx     context.Context
 	do      func(ctx context.Context) (int, any)
 	done    chan outcome
 	started atomic.Bool // set by the worker just before do runs
+	leave   func()
 	release func()
 }
 
 func (t *task) deliver(status int, body any) {
+	t.leave()
 	t.done <- outcome{status: status, body: body}
 }
 

@@ -33,10 +33,10 @@ func checkGoroutines(t *testing.T, before int) {
 
 // TestPoolTaskMatrix drives the worker pool directly with a concurrent mix
 // of well-behaved, panicking, slow-then-cancelled, and pre-cancelled tasks,
-// and asserts the three pool invariants: every task's release fires exactly
-// once, every done channel receives exactly one outcome, and no goroutine
-// outlives the pool. Run under -race this also proves the admission path is
-// data-race free.
+// and asserts the pool invariants: every task's leave and release fire
+// exactly once, every done channel receives exactly one outcome, leave fires
+// before that outcome is delivered, and no goroutine outlives the pool. Run
+// under -race this also proves the admission path is data-race free.
 func TestPoolTaskMatrix(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var panics atomic.Int64
@@ -49,7 +49,7 @@ func TestPoolTaskMatrix(t *testing.T) {
 
 	const perKind = 16
 	kinds := []string{"ok", "panic", "cancel", "precancelled"}
-	var releases atomic.Int64
+	var leaves, releases atomic.Int64
 	var wg sync.WaitGroup
 	outcomes := make(chan struct {
 		kind string
@@ -69,6 +69,12 @@ func TestPoolTaskMatrix(t *testing.T) {
 				ctx:     ctx,
 				done:    make(chan outcome, 1),
 				release: func() { releases.Add(1) },
+			}
+			tk.leave = func() {
+				if len(tk.done) != 0 {
+					t.Errorf("task (%s) left the in-flight gauge after its outcome was delivered", kind)
+				}
+				leaves.Add(1)
 			}
 			switch kind {
 			case "ok":
@@ -147,9 +153,12 @@ func TestPoolTaskMatrix(t *testing.T) {
 	if got := releases.Load(); got != int64(perKind*len(kinds)) {
 		t.Errorf("releases = %d, want %d (exactly once per task)", got, perKind*len(kinds))
 	}
+	if got := leaves.Load(); got != int64(perKind*len(kinds)) {
+		t.Errorf("leaves = %d, want %d (exactly once per task)", got, perKind*len(kinds))
+	}
 
 	// The pool must survive all of it: a fresh task still runs.
-	probe := &task{ctx: context.Background(), done: make(chan outcome, 1), release: func() {}}
+	probe := &task{ctx: context.Background(), done: make(chan outcome, 1), leave: func() {}, release: func() {}}
 	probe.do = func(ctx context.Context) (int, any) { return http.StatusOK, nil }
 	if err := p.submit(probe); err != nil {
 		t.Fatalf("pool dead after matrix: %v", err)
@@ -172,7 +181,7 @@ func TestPoolQueueFullShedsImmediately(t *testing.T) {
 	p := newPool(1, 1, func(string, any, []byte) {})
 	block := make(chan struct{})
 	mk := func() *task {
-		tk := &task{ctx: context.Background(), done: make(chan outcome, 1), release: func() {}}
+		tk := &task{ctx: context.Background(), done: make(chan outcome, 1), leave: func() {}, release: func() {}}
 		tk.do = func(ctx context.Context) (int, any) {
 			<-block
 			return http.StatusOK, nil
@@ -209,7 +218,7 @@ func TestPoolQueueFullShedsImmediately(t *testing.T) {
 func TestPoolSubmitAfterClose(t *testing.T) {
 	p := newPool(1, 1, func(string, any, []byte) {})
 	p.close()
-	tk := &task{ctx: context.Background(), done: make(chan outcome, 1), release: func() {}}
+	tk := &task{ctx: context.Background(), done: make(chan outcome, 1), leave: func() {}, release: func() {}}
 	if err := p.submit(tk); err != errPoolClosed {
 		t.Fatalf("submit after close = %v, want errPoolClosed", err)
 	}

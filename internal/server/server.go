@@ -3,9 +3,9 @@
 // request is parsed, solved on a bounded worker pool under a
 // policy-clamped resource budget, and answered with structured JSON.
 //
-// The engine's worst case is inherently exponential (the paper's `secure`
-// benchmark takes minutes on a few constraints), so robustness lives in
-// this layer, not the solver:
+// The engine's worst case is inherently exponential (determinization; the
+// paper's `secure` benchmark took minutes on a few constraints), so
+// robustness lives in this layer, not the solver:
 //
 //   - Panic isolation: a panic inside one request's solve is recovered at
 //     the worker boundary and reported as a 500 with an incident ID; the

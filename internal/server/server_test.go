@@ -312,24 +312,17 @@ func TestStatuszCounters(t *testing.T) {
 	postSolve(t, ts, "text/plain", unsatSource, nil)
 	postSolve(t, ts, "text/plain", "const broken", nil)
 
-	// A worker releases its in-flight slot just after it delivers the
-	// answer, so a client can read the response a moment before the count
-	// drops: poll until it settles rather than racing the worker.
+	// A worker drops a request from the in-flight gauge before it hands
+	// over the answer, so one read after the last response must see 0.
+	resp, err := http.Get(ts.URL + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var st StatusResponse
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		resp, err := http.Get(ts.URL + "/statusz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		st = StatusResponse{}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("decoding statusz: %v", err)
-		}
-		if st.InFlight == 0 || time.Now().After(deadline) {
-			break
-		}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding statusz: %v", err)
 	}
 	if st.State != "accepting" {
 		t.Errorf("State = %q, want accepting", st.State)
