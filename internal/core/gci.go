@@ -63,8 +63,9 @@ type gciSolver struct {
 // constant as emptiness against its complement. A constant minimized in
 // this solve keeps its minimal DFA, whose complement is the same machine
 // with its accepting states flipped, so the constant is determinized once
-// per solve. The memo lives here rather than on the shared machine, so a
-// solve's Usage does not depend on which solve complemented it first.
+// per cache: once per solve, plus once in each CI-group solved concurrently
+// on its own cache. The memo lives here rather than on the shared machine,
+// so a solve's Usage does not depend on which solve complemented it first.
 type constCache struct {
 	raw    bool
 	bud    *budget.Budget
@@ -139,16 +140,6 @@ func (cc *constCache) forms(c *Const) *constForms {
 		cc.shared.Put(key, f.m, machineCost(f.m))
 	}
 	return f
-}
-
-// merge adopts the constants another cache of the same solve derived,
-// keeping this cache's own forms where both have one.
-func (cc *constCache) merge(o *constCache) {
-	for c, f := range o.canon {
-		if _, ok := cc.canon[c]; !ok {
-			cc.canon[c] = f
-		}
-	}
 }
 
 // rootInfo describes one root machine of the group: a temp vertex that is

@@ -340,12 +340,10 @@ func solveBudget(s *System, want varSet, opts Options, bud *budget.Budget) (*Res
 		}
 	} else {
 		var wg sync.WaitGroup
-		groupConsts := make([]*constCache, len(groups))
 		for i, group := range groups {
 			if cachedGroup[i] {
 				continue
 			}
-			groupConsts[i] = newConstCache(opts, bud)
 			wg.Add(1)
 			go func(i int, group []int) {
 				defer wg.Done()
@@ -362,20 +360,13 @@ func solveBudget(s *System, want varSet, opts Options, bud *budget.Budget) (*Res
 				// Each goroutine gets its own solver state and constant
 				// cache: the shared canon map is not synchronized.
 				solver := &gciSolver{
-					g: g, opts: opts, canon: groupConsts[i], bud: bud,
+					g: g, opts: opts, canon: newConstCache(opts, bud), bud: bud,
 					varLang: map[int]*nfa.NFA{}, built: map[int]*nfa.NFA{},
 				}
 				perGroup[i], groupTrunc[i], groupErrs[i] = solver.solveGroupTrunc(group)
 			}(i, group)
 		}
 		wg.Wait()
-		// Maximalization below runs on this goroutine, against the
-		// constants the groups already canonicalized.
-		for _, gc := range groupConsts {
-			if gc != nil {
-				canon.merge(gc)
-			}
-		}
 	}
 
 	// Structural and internal errors (anything that is not a budget trip)

@@ -12,10 +12,10 @@ import (
 
 // TestSecureRawConstantsUnderBudget is the acceptance check for the
 // resource-governance work: the paper's pathological warp/secure case with
-// raw (uncanonicalized) constants — about 20 s of solving when unbudgeted,
-// against half a second canonicalized — completes promptly under a 2 s
-// per-path deadline. The exhausted paths are recorded, any results that do
-// come back are verified partials, and no solver goroutines leak.
+// raw (uncanonicalized) constants — about 2 s of solving when unbudgeted,
+// against a third of a second canonicalized — completes promptly under a
+// 250 ms per-path deadline. The exhausted paths are recorded, any results
+// that do come back are verified partials, and no solver goroutines leak.
 func TestSecureRawConstantsUnderBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second budget run")
@@ -26,15 +26,15 @@ func TestSecureRawConstantsUnderBudget(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	start := time.Now()
-	row, err := RunDefectBudget(d, core.Options{RawConstants: true}, 2*time.Second, 0, 0)
+	row, err := RunDefectBudget(d, core.Options{RawConstants: true}, 250*time.Millisecond, 0, 0)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("budgeted run failed outright: %v", err)
 	}
 	if row.ExhaustedPaths == 0 {
-		t.Error("no path recorded a budget trip; the pathological solve should exhaust a 2s deadline")
+		t.Error("no path recorded a budget trip; the pathological solve should exhaust a 250ms deadline")
 	}
-	// A handful of paths, each bounded by 2 s, plus parsing/symexec overhead.
+	// A handful of paths, each bounded by 250 ms, plus parsing/symexec overhead.
 	if elapsed > 60*time.Second {
 		t.Errorf("budgeted analysis took %v; the deadline is not being honored", elapsed)
 	}

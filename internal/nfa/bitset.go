@@ -2,6 +2,7 @@ package nfa
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -52,16 +53,67 @@ func (s stateSet) forEach(fn func(state int)) {
 	}
 }
 
-// appendKey appends a canonical byte encoding of the set (little-endian
-// words) to dst. Equal sets of equal capacity encode identically, which is
-// what the subset construction keys its dedup map by.
-func (s stateSet) appendKey(dst []byte) []byte {
-	for _, w := range s {
-		dst = append(dst,
-			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
+// subsetBuffer gathers one subset of the subset construction in a bitset
+// reused from step to step. It records which words it has set, so reading
+// the subset out and clearing it cost time in the words the subset touches
+// rather than in the width of the machine.
+type subsetBuffer struct {
+	set   stateSet
+	words []int // the indices of set's non-zero words, in no order
+	key   []byte
+}
+
+func newSubsetBuffer(numStates int) *subsetBuffer {
+	return &subsetBuffer{set: newStateSet(numStates)}
+}
+
+// enter adds state s of m and its ε-closure. A state already present needs
+// nothing more: it arrived with its closure, or inside a closure, and
+// closures are transitively closed.
+func (x *subsetBuffer) enter(m *NFA, s int) {
+	if x.set.contains(s) {
+		return
 	}
-	return dst
+	if len(m.eps[s]) == 0 {
+		x.or(s>>6, 1<<(uint(s)&63))
+		return
+	}
+	for wi, w := range m.eclose(s) {
+		if w != 0 {
+			x.or(wi, w)
+		}
+	}
+}
+
+func (x *subsetBuffer) or(wi int, w uint64) {
+	if x.set[wi] == 0 {
+		x.words = append(x.words, wi)
+	}
+	x.set[wi] |= w
+}
+
+// take empties the subset and returns its key: the members in ascending
+// order, four little-endian bytes each (see keyState). The key is only
+// valid until the next take.
+func (x *subsetBuffer) take() []byte {
+	slices.Sort(x.words)
+	x.key = x.key[:0]
+	for _, wi := range x.words {
+		w := x.set[wi]
+		x.set[wi] = 0
+		for w != 0 {
+			s := uint32(wi<<6 | bits.TrailingZeros64(w))
+			w &= w - 1
+			x.key = append(x.key, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
+		}
+	}
+	x.words = x.words[:0]
+	return x.key
+}
+
+// keyState decodes the member at byte offset i of a subset key.
+func keyState(key string, i int) int {
+	return int(key[i]) | int(key[i+1])<<8 | int(key[i+2])<<16 | int(key[i+3])<<24
 }
 
 // ecloCache memoizes per-state ε-closures of an immutable machine. Entries

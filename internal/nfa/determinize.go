@@ -64,44 +64,39 @@ func Determinize(m *NFA) *DFA {
 // construction aborts with the budget's *Exhausted error when the budget
 // trips. Determinization is the solver's worst-case-exponential step (the
 // complement-based subset and maximality machinery all route through it),
-// so this is where state caps bite first. A machine that is already
-// deterministic (see deterministic) takes a path that keys subsets by
-// state id; it builds the same DFA with the same budget charges.
+// so this is where state caps bite first.
+//
+// Each subset is keyed by its members rather than by a bitset as wide as
+// the machine, and successors are gathered in one reused bitset, so a step
+// costs time in the size of the subsets it touches: a subset of a literal's
+// chain is one state, whatever the length of the literal.
 func DeterminizeB(bud *budget.Budget, m *NFA) (*DFA, error) {
 	atoms := Partition(m.allLabels())
-	if m.deterministic() {
-		return determinizeStates(bud, m, atoms)
-	}
-	return determinizeSubsets(bud, m, atoms)
-}
-
-// determinizeSubsets is the subset construction over bitset state sets.
-func determinizeSubsets(bud *budget.Budget, m *NFA, atoms []CharSet) (*DFA, error) {
-	start := m.startClosure()
-	// Subsets are keyed by their raw bitset words: a fixed-width binary
-	// encoding, no per-state formatting, one string allocation per probe.
+	next := newSubsetBuffer(m.NumStates())
 	idx := map[string]int{}
-	var sets []stateSet
+	var sets []string // sets[q] is the key of DFA state q's subset
 	var trans [][]int
 	var accept []bool
-	scratch := make([]byte, 0, len(start)*8)
-	add := func(set stateSet) int {
-		scratch = set.appendKey(scratch[:0])
-		k := string(scratch)
-		if id, ok := idx[k]; ok {
+	// add interns the subset gathered in next and empties next.
+	add := func() int {
+		final := next.set.contains(m.final)
+		key := next.take()
+		if id, ok := idx[string(key)]; ok {
 			return id
 		}
+		k := string(key)
 		id := len(sets)
 		idx[k] = id
-		sets = append(sets, set)
+		sets = append(sets, k)
 		trans = append(trans, make([]int, len(atoms)))
-		accept = append(accept, set.contains(m.final))
+		accept = append(accept, final)
 		return id
 	}
-	add(start)
+	next.enter(m, m.start)
+	add()
 	for qi := 0; qi < len(sets); qi++ {
-		// One probe per expanded DFA state: m.step below is O(|m| · edges),
-		// so this also bounds the time between context polls.
+		// One probe per expanded DFA state, which also bounds the time
+		// between context polls.
 		if err := bud.AddStates(1, "nfa.determinize"); err != nil {
 			return nil, err
 		}
@@ -113,79 +108,14 @@ func determinizeSubsets(bud *budget.Budget, m *NFA, atoms []CharSet) (*DFA, erro
 			if !ok {
 				continue
 			}
-			next := m.step(cur, rep)
-			trans[qi][ai] = add(next)
-		}
-	}
-	return newDFA(atoms, trans, accept, 0), nil
-}
-
-// deterministic reports whether no state of m has an ε-edge and the edge
-// labels of each state are pairwise disjoint. Every subset the construction
-// reaches in such a machine is then one state or empty. Every non-empty
-// Literal qualifies.
-func (m *NFA) deterministic() bool {
-	for s, edges := range m.edges {
-		if len(m.eps[s]) > 0 {
-			return false
-		}
-		var seen CharSet
-		for _, e := range edges {
-			if seen.Intersects(e.Label) {
-				return false
-			}
-			seen = seen.Union(e.Label)
-		}
-	}
-	return true
-}
-
-// determinizeStates is the subset construction for a deterministic machine.
-// The subset {q} is keyed by q and the empty subset by -1, where the bitset
-// path keys each subset by a bitset as wide as the machine. Expanding
-// subsets in the same order, it numbers the DFA states as determinizeSubsets
-// does and charges the same states to bud.
-func determinizeStates(bud *budget.Budget, m *NFA, atoms []CharSet) (*DFA, error) {
-	const empty = -1
-	id := make([]int, m.NumStates()+1) // id[q+1] is the DFA state of {q}, id[0] that of ∅
-	for i := range id {
-		id[i] = -1
-	}
-	var states []int
-	var trans [][]int
-	var accept []bool
-	add := func(q int) int {
-		if d := id[q+1]; d >= 0 {
-			return d
-		}
-		d := len(states)
-		id[q+1] = d
-		states = append(states, q)
-		trans = append(trans, make([]int, len(atoms)))
-		accept = append(accept, q == m.final)
-		return d
-	}
-	add(m.start)
-	for qi := 0; qi < len(states); qi++ {
-		if err := bud.AddStates(1, "nfa.determinize"); err != nil {
-			return nil, err
-		}
-		q := states[qi]
-		for ai, atom := range atoms {
-			rep, ok := atom.Min()
-			if !ok {
-				continue
-			}
-			next := empty
-			if q != empty {
-				for _, e := range m.edges[q] {
+			for i := 0; i < len(cur); i += 4 {
+				for _, e := range m.edges[keyState(cur, i)] {
 					if e.Label.Contains(rep) {
-						next = e.To
-						break
+						next.enter(m, e.To)
 					}
 				}
 			}
-			trans[qi][ai] = add(next)
+			trans[qi][ai] = add()
 		}
 	}
 	return newDFA(atoms, trans, accept, 0), nil

@@ -5,9 +5,9 @@ package nfa
 // state for state, as Moore's round-by-round refinement, which is kept here
 // as the reference. Moore needs one full pass per refinement round, and a
 // chain of n states needs n rounds, so the reference only ever runs on
-// machines of a few hundred states. The state-keyed subset construction for
-// deterministic machines must build the same DFA as the bitset one, with
-// the same budget charges.
+// machines of a few hundred states. DeterminizeB, which keys subsets by
+// their members, must build the same DFA as the subset construction keyed
+// by full-width bitsets, kept here too, with the same budget charges.
 
 import (
 	"context"
@@ -121,13 +121,29 @@ func randWord(r *rand.Rand, n, k int) string {
 	return string(w)
 }
 
+// crossWords reaches the subset {1, 200}, whose members sit in different
+// bitset words, on 'a' from two states whose edges enter the members in
+// opposite orders.
+func crossWords() *NFA {
+	b := NewBuilder()
+	b.AddStates(201)
+	a := Singleton('a')
+	b.AddEdge(0, a, 200)
+	b.AddEdge(0, a, 1)
+	b.AddEdge(0, Singleton('b'), 5)
+	b.AddEdge(5, a, 1)
+	b.AddEdge(5, a, 200)
+	b.AddEdge(1, Singleton('c'), 200)
+	return b.Build(0, 200)
+}
+
 // diffMachines is the input set of the differential tests: 500 seeded
 // random machines from the property and substrate generators, 100 random
-// deterministic machines, and literal chains of up to 500 bytes alone,
-// starred, unioned, intersected and concatenated.
+// deterministic machines, crossWords, and literal chains of up to 500 bytes
+// alone, starred, unioned, intersected and concatenated.
 func diffMachines() []*NFA {
 	r := rand.New(rand.NewSource(20090615))
-	var ms []*NFA
+	ms := []*NFA{crossWords()}
 	for i := 0; i < 600; i++ {
 		switch {
 		case i%6 == 5:
@@ -217,35 +233,63 @@ func TestMinimizeBudgetTrips(t *testing.T) {
 	}
 }
 
-func TestDeterminizeStatesMatchesSubsets(t *testing.T) {
-	if !Literal("a").deterministic() || !Literal(strings.Repeat("ab", 300)).deterministic() {
-		t.Fatal("a non-empty literal must take the deterministic path")
-	}
-	eligible := 0
-	for i, m := range diffMachines() {
-		if !m.deterministic() {
-			continue
+// bitsetDeterminize is the subset construction over full-width bitsets:
+// each successor is a fresh set as wide as the machine, keyed by its raw
+// words.
+func bitsetDeterminize(bud *budget.Budget, m *NFA) (*DFA, error) {
+	atoms := Partition(m.allLabels())
+	idx := map[string]int{}
+	var sets []stateSet
+	var trans [][]int
+	var accept []bool
+	add := func(set stateSet) int {
+		var key []byte
+		for _, w := range set {
+			key = binary.LittleEndian.AppendUint64(key, w)
 		}
-		eligible++
-		atoms := Partition(m.allLabels())
+		if id, ok := idx[string(key)]; ok {
+			return id
+		}
+		id := len(sets)
+		idx[string(key)] = id
+		sets = append(sets, set)
+		trans = append(trans, make([]int, len(atoms)))
+		accept = append(accept, set.contains(m.final))
+		return id
+	}
+	add(m.startClosure())
+	for qi := 0; qi < len(sets); qi++ {
+		if err := bud.AddStates(1, "nfa.determinize"); err != nil {
+			return nil, err
+		}
+		for ai, atom := range atoms {
+			rep, ok := atom.Min()
+			if !ok {
+				continue
+			}
+			trans[qi][ai] = add(m.step(sets[qi], rep))
+		}
+	}
+	return newDFA(atoms, trans, accept, 0), nil
+}
+
+func TestDeterminizeMatchesBitsetSubsets(t *testing.T) {
+	for i, m := range diffMachines() {
 		fast := budget.New(context.Background(), budget.Limits{})
 		slow := budget.New(context.Background(), budget.Limits{})
-		got, err := determinizeStates(fast, m, atoms)
+		got, err := DeterminizeB(fast, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := determinizeSubsets(slow, m, atoms)
+		want, err := bitsetDeterminize(slow, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("machine %d: the deterministic path built a different DFA", i)
+			t.Fatalf("machine %d: DeterminizeB built a different DFA from the bitset construction", i)
 		}
 		if fast.Usage() != slow.Usage() {
-			t.Fatalf("machine %d: usage %+v, bitset path %+v", i, fast.Usage(), slow.Usage())
+			t.Fatalf("machine %d: usage %+v, bitset construction %+v", i, fast.Usage(), slow.Usage())
 		}
-	}
-	if eligible < 200 {
-		t.Fatalf("only %d deterministic machines in the differential set", eligible)
 	}
 }
