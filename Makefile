@@ -7,8 +7,12 @@ all: build lint test
 build:
 	$(GO) build ./...
 
+# The module's tests, then perfbench's vet and self-test: perfbench is a
+# module of its own (replace dprle => ../), so ./... never reaches it, yet
+# it calls into the solver and iterates analyzers.All().
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full suite under the race detector (the dedicated `race` CI job).
 race:
@@ -54,8 +58,10 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # Cache smoke: corpus-wide cached≡uncached equivalence (witnesses verified),
-# the >=3x warm-speedup bound, and the cold/warm benchmarks, one iteration
-# each (the `bench-cache` CI job). Fails on any cache-correctness assertion.
+# the warm-path counter gates (a warm pass is answered from the cache alone:
+# exact hits, no misses, puts or states), and the cold/warm benchmarks, one
+# iteration each (the `bench-cache` CI job). Fails on any cache-correctness
+# or counter assertion.
 bench-cache:
 	$(GO) test -bench='BenchmarkCache' -benchtime=1x -run 'TestCacheCorpus' -v .
 

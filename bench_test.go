@@ -39,9 +39,10 @@ import (
 // c1 = "nid_", c2 = Σ*[0-9], c3 = Σ*'Σ*.
 func BenchmarkFigure4CI(b *testing.B) {
 	b.ReportAllocs()
-	c1 := nfa.Minimized(nfa.Literal("nid_"))
-	c2 := nfa.Minimized(regex.MustMatchLanguage(`[\d]+$`))
-	c3 := nfa.Minimized(regex.MustMatchLanguage(`'`))
+	// A nil budget cannot fail (see budget.Budget).
+	c1, _ := nfa.MinimizedB(nil, nfa.Literal("nid_"))
+	c2, _ := nfa.MinimizedB(nil, regex.MustMatchLanguage(`[\d]+$`))
+	c3, _ := nfa.MinimizedB(nil, regex.MustMatchLanguage(`'`))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sols := core.ConcatIntersect(c1, c2, c3)
@@ -248,7 +249,7 @@ func BenchmarkNFAIntersect(b *testing.B) {
 	a, c := benchMachines(32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nfa.Intersect(a, c)
+		nfa.IntersectB(nil, a, c)
 	}
 }
 
@@ -257,17 +258,17 @@ func BenchmarkNFADeterminize(b *testing.B) {
 	a, _ := benchMachines(32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nfa.Determinize(a)
+		nfa.DeterminizeB(nil, a)
 	}
 }
 
 func BenchmarkNFAMinimize(b *testing.B) {
 	b.ReportAllocs()
 	a, _ := benchMachines(32)
-	d := nfa.Determinize(a)
+	d, _ := nfa.DeterminizeB(nil, a)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Minimize()
+		d.MinimizeB(nil)
 	}
 }
 
@@ -276,7 +277,7 @@ func BenchmarkNFAComplement(b *testing.B) {
 	a, _ := benchMachines(32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nfa.Complement(a)
+		nfa.ComplementB(nil, a)
 	}
 }
 
@@ -285,7 +286,7 @@ func BenchmarkNFASubset(b *testing.B) {
 	a, c := benchMachines(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !nfa.Subset(a, c) {
+		if ok, _ := nfa.SubsetB(nil, a, c); !ok {
 			b.Fatal("subset should hold")
 		}
 	}

@@ -54,11 +54,12 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-// TestUnbudgetedDeterminizeFails proves the lint gate catches the
-// regression the suite exists for: re-introducing an un-budgeted
-// Determinize call inside a budgeted path must produce a finding (and
-// therefore a non-zero dprlelint exit, failing CI).
-func TestUnbudgetedDeterminizeFails(t *testing.T) {
+// TestDroppedBudgetFails proves the lint gate catches the regressions the
+// suite exists for: a budgeted path that determinizes with a nil budget
+// (F1), and one that discards the error of a live budget (R2), must each
+// produce a budgetflow finding (and therefore a non-zero dprlelint exit,
+// failing CI).
+func TestDroppedBudgetFails(t *testing.T) {
 	loader := analysis.NewSourceLoader(filepath.Join("testdata", "src"))
 	pkg, err := loader.Load("regress")
 	if err != nil {
@@ -68,14 +69,19 @@ func TestUnbudgetedDeterminizeFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, f := range findings {
-		if f.Analyzer == "budgetcheck" && strings.Contains(f.Message, "un-budgeted Determinize") {
-			found = true
+	for _, want := range []string{
+		"budget dropped on this path: DeterminizeB is called with a nil budget while bud may be live",
+		"error result of DeterminizeB is discarded",
+	} {
+		found := false
+		for _, f := range findings {
+			if f.Analyzer == "budgetflow" && strings.Contains(f.Message, want) {
+				found = true
+			}
 		}
-	}
-	if !found {
-		t.Fatalf("expected a budgetcheck finding for un-budgeted Determinize, got %v", findings)
+		if !found {
+			t.Errorf("expected a budgetflow finding %q, got %v", want, findings)
+		}
 	}
 }
 

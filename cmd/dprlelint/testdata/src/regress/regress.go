@@ -1,7 +1,8 @@
-// Package regress deliberately re-introduces the bug class PR 1 removed:
-// an un-budgeted Determinize call inside a budgeted solver path. The
-// multichecker test asserts dprlelint fails on it, which is what keeps the
-// CI lint gate meaningful.
+// Package regress deliberately re-introduces the bug classes the budget
+// discipline exists to stop: a budgeted solver path that determinizes
+// without its budget, and one that drops the error its budget can return.
+// The multichecker test asserts dprlelint fails on both, which is what
+// keeps the CI lint gate meaningful.
 package regress
 
 import (
@@ -10,7 +11,12 @@ import (
 )
 
 func SolveB(bud *budget.Budget, m *nfa.NFA) (*nfa.DFA, error) {
-	return nfa.Determinize(m), nil // budgetcheck must flag this line
+	return nfa.DeterminizeB(nil, m) // budgetflow F1 must flag this line
+}
+
+func ProbeB(bud *budget.Budget, m *nfa.NFA) *nfa.DFA {
+	d, _ := nfa.DeterminizeB(bud, m) // budgetflow R2 must flag this line
+	return d
 }
 
 // CloneMachine seeds the guaranteed nil dereference the nilness analyzer

@@ -20,7 +20,7 @@ func fakeFinding(analyzer, file string, line, col int) Finding {
 func TestSortFindings(t *testing.T) {
 	in := []Finding{
 		fakeFinding("nilness", "b.go", 1, 1),
-		fakeFinding("budgetcheck", "a.go", 9, 2),
+		fakeFinding("cachekey", "a.go", 9, 2),
 		fakeFinding("sharemut", "a.go", 3, 7),
 		fakeFinding("nilness", "a.go", 3, 7),
 		fakeFinding("budgetflow", "a.go", 3, 2),
@@ -31,10 +31,10 @@ func TestSortFindings(t *testing.T) {
 		got = append(got, f.Pos.Filename+":"+f.Analyzer)
 	}
 	want := []string{
-		"a.go:budgetflow",  // a.go:3:2
-		"a.go:nilness",     // a.go:3:7 — analyzer breaks the tie
-		"a.go:sharemut",    // a.go:3:7
-		"a.go:budgetcheck", // a.go:9:2
+		"a.go:budgetflow", // a.go:3:2
+		"a.go:nilness",    // a.go:3:7 — analyzer breaks the tie
+		"a.go:sharemut",   // a.go:3:7
+		"a.go:cachekey",   // a.go:9:2
 		"b.go:nilness",
 	}
 	if !reflect.DeepEqual(got, want) {

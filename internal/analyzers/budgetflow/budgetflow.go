@@ -1,11 +1,12 @@
-// Package budgetflow is the path-sensitive upgrade of budgetcheck and
-// ctxbudget: instead of asking "does this budget-threaded function ever
-// call an un-budgeted construction", it asks "on which paths". The
-// dataflow engine tracks the nilness of every *budget.Budget variable in
-// scope, so the analyzer can tell the legitimate degradation branch
-// (`if bud == nil { ... }` — the budget is provably absent) from the bug
-// the suite exists to catch: a budget threaded on the happy path but
-// dropped on an error or early-return path.
+// Package budgetflow checks the solver's budget and context discipline.
+// Its core is path-sensitive: instead of asking "does this budget-threaded
+// function ever drop its budget", it asks "on which paths". The dataflow
+// engine tracks the nilness of every *budget.Budget variable in scope, so
+// the analyzer can tell the legitimate degradation branch (`if bud == nil
+// { ... }` — the budget is provably absent) from the bug the suite exists
+// to catch: a budget threaded on the happy path but dropped on an error or
+// early-return path. Three whole-function rules ride along: a discarded *B
+// error, a goroutine that does not carry the budget, and a dropped context.
 package budgetflow
 
 import (
@@ -22,11 +23,12 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "budgetflow",
-	Doc: `flag paths where a live budget is dropped from a budgeted call
+	Doc: `flag paths where a live budget or context is dropped
 
-Inside a function that binds a *budget.Budget variable (parameter or
-local), a forward dataflow analysis tracks whether each budget is nil,
-non-nil, or unknown along every path. Two findings:
+Every budgeted construction has a single form, XB(bud, ...); a nil budget
+means unlimited. Inside a function that binds a *budget.Budget variable
+(parameter or local), a forward dataflow analysis tracks whether each
+budget is nil, non-nil, or unknown along every path. Two findings:
 
 F1 — a call to a *B budgeted variant passing a nil budget (the literal, or
 a variable that is provably nil on this path) while some budget in scope
@@ -35,15 +37,31 @@ typically an error or early-return branch that was wired up in a hurry.
 Under "if bud == nil" the same call is clean — the budget is provably
 absent, so nil is the only thing to pass.
 
-F2 — a call to an un-budgeted construction that has a *B sibling, on a
-path where a budget in scope may be live. This is budgetcheck's R1 made
-path-sensitive: the degradation branch (budget provably nil) is exempt.
-
 F3 (interprocedural, disable with -interproc=false) — a nil budget handed
 to a same-package function whose summary threads that parameter into
 budgeted work (a *B variant or a budget checkpoint, possibly several calls
 deep): the accounting chain is severed at this call boundary even though a
 live budget is in scope. Summaries come from internal/analyzers/interproc.
+
+Three rules look at each function declaration as a whole:
+
+R2 — the error result of a *B call must be used. Discarding it (via _, a
+bare expression statement, go, or defer) is flagged unless the budget
+argument is the literal nil: a nil *budget.Budget is inert by contract
+(every method returns nil immediately), so a nil-budget call cannot fail.
+
+C1 — inside a function with access to a *budget.Budget (a budget
+parameter, or a method whose receiver carries a budget field), a go
+statement must reference the budget (directly, or through a value that
+carries a budget field, such as the solver structs). The solver fans out
+per CI-group; a worker that does not see the budget performs unbounded,
+uncancellable automaton constructions.
+
+C2 — a function that takes a context.Context must not call
+context.Background() or context.TODO(): doing so disconnects the work it
+starts from the caller's deadline and cancellation. The nil-default idiom
+is permitted: assigning context.Background() to the context parameter
+itself (if ctx == nil { ctx = context.Background() }).
 
 Suppress with //lint:ignore dprlelint/budgetflow <reason>.`,
 	Run: run,
@@ -63,6 +81,7 @@ func run(pass *analysis.Pass) error {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
+					checkDecl(pass, fn)
 					err = checkFunc(pass, ip, fn, fn.Body)
 				}
 			case *ast.FuncLit:
@@ -124,13 +143,6 @@ func checkNode(pass *analysis.Pass, ip *interproc.Info, lat *nilfacts.Lattice, n
 					"budget dropped on this path: %s is called with a nil budget while %s may be live; thread %s through (or guard this path with %s == nil)",
 					callee.Name(), live.Name(), live.Name(), live.Name())
 			}
-		case lintutil.BudgetedSibling(callee) != nil:
-			// F2: un-budgeted construction while a budget may be live.
-			sib := lintutil.BudgetedSibling(callee)
-			reported[call] = true
-			pass.Reportf(call.Pos(),
-				"un-budgeted %s reached on a path where %s may be live; use %s and pass %s",
-				callee.Name(), live.Name(), sib.Name(), live.Name())
 		default:
 			// F3: nil handed to a summary-known budget-threading callee.
 			if ip == nil {
@@ -172,4 +184,155 @@ func liveBudget(lat *nilfacts.Lattice, f *nilfacts.Facts) *types.Var {
 		}
 	}
 	return nil
+}
+
+// checkDecl applies R2, C1 and C2 to a function declaration. Its walk
+// descends into the func literals of the body, so run calls it once per
+// declaration and never for a FuncLit, and no finding is reported twice.
+func checkDecl(pass *analysis.Pass, fn *ast.FuncDecl) {
+	info := pass.TypesInfo
+	threaded := lintutil.IsBudgetThreaded(info, fn)
+	takesCtx := hasContextParam(info, fn)
+	// C2's nil-default idiom `ctx = context.Background()` (re-assigning the
+	// context parameter itself) keeps the caller's context when one was
+	// given. The walk is pre-order, so the assignment is recorded here
+	// before its right-hand call is visited.
+	defaulted := map[*ast.CallExpr]bool{}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ExprStmt:
+			if call, ok := n.X.(*ast.CallExpr); ok {
+				checkDiscardedError(pass, call, nil)
+			}
+		case *ast.GoStmt:
+			checkDiscardedError(pass, n.Call, nil)
+			if threaded && !referencesBudget(info, n.Call) {
+				pass.Reportf(n.Pos(),
+					"goroutine spawned in budget-threaded function %s does not reference the budget; its work is unaccounted and uncancellable",
+					fn.Name.Name)
+			}
+		case *ast.DeferStmt:
+			checkDiscardedError(pass, n.Call, nil)
+		case *ast.AssignStmt:
+			if len(n.Rhs) != 1 {
+				break
+			}
+			call, ok := n.Rhs[0].(*ast.CallExpr)
+			if !ok {
+				break
+			}
+			checkDiscardedError(pass, call, n.Lhs)
+			if takesCtx && len(n.Lhs) == 1 && isContextParam(info, n.Lhs[0], fn) {
+				defaulted[call] = true
+			}
+		case *ast.CallExpr:
+			if takesCtx && !defaulted[n] {
+				checkContextDropped(pass, fn, n)
+			}
+		}
+		return true
+	})
+}
+
+// checkDiscardedError implements R2. lhs is nil when the call's results
+// are discarded wholesale (expression statement, go, defer); otherwise it
+// is the assignment's left-hand side.
+func checkDiscardedError(pass *analysis.Pass, call *ast.CallExpr, lhs []ast.Expr) {
+	callee := lintutil.Callee(pass.TypesInfo, call)
+	if callee == nil || !lintutil.IsBudgetedVariant(callee) {
+		return
+	}
+	nres := callee.Type().(*types.Signature).Results().Len()
+	discarded := false
+	switch {
+	case lhs == nil:
+		discarded = true
+	case len(lhs) == nres:
+		// The error is the last result by the *B convention.
+		if id, ok := lhs[nres-1].(*ast.Ident); ok && id.Name == "_" {
+			discarded = true
+		}
+	}
+	// Nil-budget contract: a literal-nil budget argument cannot trip, so
+	// its error is statically nil and safe to drop.
+	if !discarded || len(call.Args) > 0 && lintutil.IsNilIdent(pass.TypesInfo, call.Args[0]) {
+		return
+	}
+	pass.Reportf(call.Pos(),
+		"error result of %s is discarded; a non-nil budget can trip mid-construction (only a literal nil budget cannot fail)",
+		callee.Name())
+}
+
+// referencesBudget reports whether any expression in the spawned call —
+// the callee, its arguments, or a func literal's body — evaluates to a
+// value that gives access to a budget.
+func referencesBudget(info *types.Info, call *ast.CallExpr) bool {
+	found := false
+	ast.Inspect(call, func(n ast.Node) bool {
+		if e, ok := n.(ast.Expr); ok && !found {
+			if tv, ok := info.Types[e]; ok && !tv.IsNil() && lintutil.CarriesBudget(tv.Type) {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+func hasContextParam(info *types.Info, fn *ast.FuncDecl) bool {
+	obj, ok := info.Defs[fn.Name].(*types.Func)
+	if !ok {
+		return false
+	}
+	params := obj.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		if isContextType(params.At(i).Type()) {
+			return true
+		}
+	}
+	return false
+}
+
+// isContextParam reports whether e names a context.Context variable bound
+// outside fn's body: one of its parameters, or an outer binding.
+func isContextParam(info *types.Info, e ast.Expr, fn *ast.FuncDecl) bool {
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	obj, ok := info.Uses[id].(*types.Var)
+	if !ok || !isContextType(obj.Type()) {
+		return false
+	}
+	return obj.Pos() < fn.Body.Pos() || obj.Pos() > fn.Body.End()
+}
+
+func isContextType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
+}
+
+// checkContextDropped implements C2 for one call in fn.
+func checkContextDropped(pass *analysis.Pass, fn *ast.FuncDecl, call *ast.CallExpr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	pkgID, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return
+	}
+	pn, ok := pass.TypesInfo.Uses[pkgID].(*types.PkgName)
+	if !ok || pn.Imported().Path() != "context" {
+		return
+	}
+	if sel.Sel.Name == "Background" || sel.Sel.Name == "TODO" {
+		pass.Reportf(call.Pos(),
+			"%s takes a context.Context but calls context.%s, dropping the caller's cancellation and deadline",
+			fn.Name.Name, sel.Sel.Name)
+	}
 }

@@ -2,7 +2,8 @@ package a
 
 import "budget"
 
-// DeterminizeB / Determinize model the solver's sibling convention.
+// DeterminizeB models the solver's convention: a construction has one
+// budgeted form, and a nil budget means unlimited.
 
 func DeterminizeB(bud *budget.Budget, x int) (int, error) {
 	if err := bud.AddStates(1, "determinize"); err != nil {
@@ -11,9 +12,8 @@ func DeterminizeB(bud *budget.Budget, x int) (int, error) {
 	return x + 1, nil
 }
 
-// Clean: no budget in scope — the un-budgeted wrapper's own nil call is
-// the convention, not a dropped budget.
-func Determinize(x int) int {
+// Clean: no budget in scope, so nil is the only budget there is to pass.
+func Plain(x int) int {
 	d, _ := DeterminizeB(nil, x)
 	return d
 }
@@ -43,22 +43,24 @@ func Degrade(bud *budget.Budget, x int) int {
 	return y
 }
 
-// F2: the un-budgeted sibling is reached on the path where the budget is
-// provably live (refined non-nil by the guard).
+// F1: a nil budget on the path where the budget is provably live (refined
+// non-nil by the guard).
 func Mixed(bud *budget.Budget, x int) (int, error) {
 	if bud == nil {
-		return Determinize(x), nil // clean: degradation path
+		y, _ := DeterminizeB(nil, x) // clean: degradation path
+		return y, nil
 	}
-	y := Determinize(x) // want `un-budgeted Determinize reached on a path where bud may be live; use DeterminizeB and pass bud`
+	y, _ := DeterminizeB(nil, x) // want `budget dropped on this path: DeterminizeB is called with a nil budget while bud may be live`
 	return y, nil
 }
 
-// F1+F2 with a locally constructed budget.
+// F1 on an error path and on the happy path of a locally constructed
+// budget.
 func Run(x int) (int, error) {
 	bud := budget.New(100)
 	y, err := DeterminizeB(bud, x)
 	if err != nil {
-		z := Determinize(x) // want `un-budgeted Determinize reached on a path where bud may be live; use DeterminizeB and pass bud`
+		z, _ := DeterminizeB(nil, x) // want `budget dropped on this path: DeterminizeB is called with a nil budget while bud may be live`
 		return z, nil
 	}
 	w, _ := DeterminizeB(nil, y) // want `budget dropped on this path: DeterminizeB is called with a nil budget while bud may be live`
@@ -80,4 +82,18 @@ func Shed(bud *budget.Budget, x int) int {
 	bud = nil
 	y, _ := DeterminizeB(nil, x)
 	return y
+}
+
+// The *B convention holds for methods too.
+type M struct{}
+
+func (m M) MinimizeB(bud *budget.Budget) (int, error) {
+	return 1, bud.Check("minimize")
+}
+
+// F1 through a method call.
+func Shrink(bud *budget.Budget, m M) (int, error) {
+	v, _ := m.MinimizeB(nil) // want `budget dropped on this path: MinimizeB is called with a nil budget while bud may be live`
+	_ = v
+	return m.MinimizeB(bud)
 }

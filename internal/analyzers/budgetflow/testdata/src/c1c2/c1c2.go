@@ -1,4 +1,4 @@
-package a
+package c1c2
 
 import (
 	"context"

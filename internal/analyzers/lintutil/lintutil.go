@@ -1,6 +1,6 @@
 // Package lintutil holds type- and AST-level predicates shared by the
 // dprlelint analyzers: recognizing the solver's *budget.Budget type, the
-// *B budgeted-sibling convention, and budget-threaded functions.
+// *B budgeted-variant convention, and budget-threaded functions.
 package lintutil
 
 import (
@@ -83,40 +83,6 @@ func IsBudgetThreaded(info *types.Info, fn *ast.FuncDecl) bool {
 		return CarriesBudget(recv.Type())
 	}
 	return false
-}
-
-// BudgetedSibling returns the *B variant of callee, if one exists by the
-// solver's convention: a function (or method on the same receiver type)
-// named callee.Name()+"B" whose first parameter is *budget.Budget and
-// whose last result is error. Returns nil if there is no such sibling.
-func BudgetedSibling(callee *types.Func) *types.Func {
-	name := callee.Name() + "B"
-	sig, ok := callee.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	var cand types.Object
-	if recv := sig.Recv(); recv != nil {
-		t := recv.Type()
-		obj, _, _ := types.LookupFieldOrMethod(t, true, callee.Pkg(), name)
-		cand = obj
-	} else if callee.Pkg() != nil {
-		cand = callee.Pkg().Scope().Lookup(name)
-	}
-	fn, ok := cand.(*types.Func)
-	if !ok {
-		return nil
-	}
-	fsig := fn.Type().(*types.Signature)
-	params := fsig.Params()
-	results := fsig.Results()
-	if params.Len() == 0 || !IsBudgetPtr(params.At(0).Type()) {
-		return nil
-	}
-	if results.Len() == 0 || !isErrorType(results.At(results.Len()-1).Type()) {
-		return nil
-	}
-	return fn
 }
 
 // IsBudgetedVariant reports whether fn itself follows the *B convention:

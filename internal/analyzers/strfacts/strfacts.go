@@ -85,7 +85,8 @@ func (v Val) IsEmpty() bool { return v.m != nil && v.m.IsEmpty() }
 // anyKey memoizes the canonical key of Σ*, so normalization can collapse
 // machines that happen to denote every string into the cheap top form.
 var anyKey = sync.OnceValue(func() string {
-	return nfa.Minimized(nfa.AnyString()).CanonicalKey()
+	m, _ := nfa.MinimizedB(nil, nfa.AnyString()) // nil budget cannot fail
+	return m.CanonicalKey()
 })
 
 // Domain performs all Val construction and counts widenings for -stats.

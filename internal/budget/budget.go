@@ -12,8 +12,9 @@
 // *Exhausted immediately, so deep call stacks unwind fast.
 //
 // A nil *Budget is valid everywhere and means "unlimited": all probes
-// return nil and Usage is zero. This keeps the budget-oblivious entry
-// points (nfa.Intersect, core.Solve, …) zero-cost.
+// return nil and Usage is zero. Each construction has one budgeted form,
+// and a caller without a budget passes nil to it at no cost
+// (nfa.IntersectB(nil, …)).
 package budget
 
 import (
@@ -87,10 +88,10 @@ func (e *Exhausted) Unwrap() error { return e.cause }
 //
 // The nil contract is load-bearing: Check and AddStates return nil
 // immediately on a nil receiver, before consulting limits or fault
-// injection, so a call like IntersectB(nil, ...) can never fail. The
-// un-budgeted wrappers (nfa.Intersect and friends) discard the error on
-// exactly that basis, and the budgetcheck analyzer permits a discarded *B
-// error only when the budget argument is the literal nil.
+// injection, so a call like IntersectB(nil, ...) can never fail. Callers
+// without a budget discard the error on exactly that basis, and the
+// budgetflow analyzer permits a discarded *B error only when the budget
+// argument is the literal nil.
 type Budget struct {
 	ctx     context.Context
 	limits  Limits

@@ -7,6 +7,15 @@ import (
 	"dprle/internal/regex"
 )
 
+// unbudgeted unwraps a budgeted construction run with a nil budget, which
+// cannot fail (see budget.Budget).
+func unbudgeted[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // Figure 4 of the paper: c1 = "nid_", c2 = Σ*[0-9] (the faulty filter),
 // c3 = Σ*'Σ* (queries containing a single quote). The paper draws the
 // minimal machines, so the fixture canonicalizes the regex-compiled inputs;
@@ -15,8 +24,8 @@ import (
 // report one disjunct per surviving seam edge of the Thompson machines.
 func fig4Inputs() (c1, c2, c3 *nfa.NFA) {
 	c1 = nfa.Literal("nid_")
-	c2 = nfa.Minimized(regex.MustMatchLanguage(`[\d]+$`))
-	c3 = nfa.Minimized(regex.MustMatchLanguage(`'`))
+	c2 = unbudgeted(nfa.MinimizedB(nil, regex.MustMatchLanguage(`[\d]+$`)))
+	c3 = unbudgeted(nfa.MinimizedB(nil, regex.MustMatchLanguage(`'`)))
 	return
 }
 
@@ -59,7 +68,7 @@ func TestFigure4Pipeline(t *testing.T) {
 			t.Errorf("V2 should reject %q", w)
 		}
 	}
-	want := nfa.Intersect(c2, c3)
+	want := unbudgeted(nfa.IntersectB(nil, c2, c3))
 	if !nfa.Equivalent(v2, want) {
 		t.Fatal("V2 should be exactly c2 ∩ c3 here")
 	}
@@ -70,13 +79,13 @@ func TestCICorrectnessProperties(t *testing.T) {
 	sols := ConcatIntersect(c1, c2, c3)
 	// Satisfying (paper §3.3, condition 2).
 	for i, s := range sols {
-		if !nfa.Subset(s.V1, c1) {
+		if !unbudgeted(nfa.SubsetB(nil, s.V1, c1)) {
 			t.Errorf("solution %d: V1 ⊄ c1", i)
 		}
-		if !nfa.Subset(s.V2, c2) {
+		if !unbudgeted(nfa.SubsetB(nil, s.V2, c2)) {
 			t.Errorf("solution %d: V2 ⊄ c2", i)
 		}
-		if !nfa.Subset(nfa.Concat(s.V1, s.V2), c3) {
+		if !unbudgeted(nfa.SubsetB(nil, nfa.Concat(s.V1, s.V2), c3)) {
 			t.Errorf("solution %d: V1·V2 ⊄ c3", i)
 		}
 	}
@@ -133,8 +142,8 @@ func TestCIDisjunctiveSplits(t *testing.T) {
 	}
 	// Every (V1, V2) pair must be satisfying.
 	for _, s := range sols {
-		if !nfa.Subset(s.V1, c1) || !nfa.Subset(s.V2, c2) ||
-			!nfa.Subset(nfa.Concat(s.V1, s.V2), c3) {
+		if !unbudgeted(nfa.SubsetB(nil, s.V1, c1)) || !unbudgeted(nfa.SubsetB(nil, s.V2, c2)) ||
+			!unbudgeted(nfa.SubsetB(nil, nfa.Concat(s.V1, s.V2), c3)) {
 			t.Fatal("satisfying violated")
 		}
 	}

@@ -53,8 +53,8 @@ func TestPropCIRegular(t *testing.T) {
 	f := func() bool {
 		c1, c2, c3 := randLang(r, 2), randLang(r, 2), randLang(r, 2)
 		for _, s := range ConcatIntersect(c1, c2, c3) {
-			d1 := nfa.Determinize(s.V1)
-			d2 := nfa.Determinize(s.V2)
+			d1 := unbudgeted(nfa.DeterminizeB(nil, s.V1))
+			d2 := unbudgeted(nfa.DeterminizeB(nil, s.V2))
 			for _, w := range []string{"", "a", "b", "ab", "ba", "aab"} {
 				if s.V1.Accepts(w) != d1.Accepts(w) || s.V2.Accepts(w) != d2.Accepts(w) {
 					return false
@@ -74,10 +74,10 @@ func TestPropCISatisfying(t *testing.T) {
 	f := func() bool {
 		c1, c2, c3 := randLang(r, 2), randLang(r, 2), randLang(r, 2)
 		for _, s := range ConcatIntersect(c1, c2, c3) {
-			if !nfa.Subset(s.V1, c1) || !nfa.Subset(s.V2, c2) {
+			if !unbudgeted(nfa.SubsetB(nil, s.V1, c1)) || !unbudgeted(nfa.SubsetB(nil, s.V2, c2)) {
 				return false
 			}
-			if !nfa.Subset(nfa.Concat(s.V1, s.V2), c3) {
+			if !unbudgeted(nfa.SubsetB(nil, nfa.Concat(s.V1, s.V2), c3)) {
 				return false
 			}
 		}
@@ -193,7 +193,7 @@ func TestPropUnsatMeansEmptyIntersection(t *testing.T) {
 		if res.Sat() {
 			return true
 		}
-		return nfa.Intersect(nfa.Concat(l1, l2), l3).IsEmpty()
+		return unbudgeted(nfa.IntersectB(nil, nfa.Concat(l1, l2), l3)).IsEmpty()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

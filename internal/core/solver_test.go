@@ -392,10 +392,10 @@ func TestNoMaximalizeStillCoversAndSatisfies(t *testing.T) {
 		}
 		covered = nfa.Union(covered, nfa.Concat(a.Lookup("v1"), a.Lookup("v2")))
 	}
-	whole := nfa.Intersect(
+	whole := unbudgeted(nfa.IntersectB(nil,
 		nfa.Concat(regex.MustCompile("x(yy)+"), regex.MustCompile("(yy)*z")),
-		regex.MustCompile("xyyz|xyyyyz"))
-	if !nfa.Subset(whole, covered) {
+		regex.MustCompile("xyyz|xyyyyz")))
+	if !unbudgeted(nfa.SubsetB(nil, whole, covered)) {
 		t.Fatal("raw disjuncts must jointly cover all solutions")
 	}
 }
@@ -563,8 +563,8 @@ func TestDoublyConstrainedConcat(t *testing.T) {
 	}
 	for _, a := range res.Assignments {
 		joint := nfa.Concat(a.Lookup("v1"), a.Lookup("v2"))
-		if !nfa.Subset(joint, regex.MustCompile("a[ab]*")) ||
-			!nfa.Subset(joint, regex.MustCompile("[ab]*b")) {
+		if !unbudgeted(nfa.SubsetB(nil, joint, regex.MustCompile("a[ab]*"))) ||
+			!unbudgeted(nfa.SubsetB(nil, joint, regex.MustCompile("[ab]*b"))) {
 			t.Fatal("a constraint leaked")
 		}
 	}

@@ -10,13 +10,15 @@ import (
 // conditions of §3.1 — Satisfying and Maximal. They re-derive both
 // properties from first principles (subset checks and quotient
 // constructions) without reusing the solver's machinery, standing in for
-// the paper's mechanized Coq proof as an executable specification.
+// the paper's mechanized Coq proof as an executable specification. They run
+// without a budget, and a nil budget cannot fail (see budget.Budget), so
+// every error a nil-budget construction returns here is nil.
 
 // Satisfies reports whether the assignment meets every constraint:
 // ∀ (e ⊆ c) ∈ I: [e]_A ⊆ [c].
 func Satisfies(s *System, a Assignment) bool {
 	for _, c := range s.Constraints() {
-		if !nfa.Subset(a.Eval(c.Lhs), c.Rhs.Lang) {
+		if ok, _ := nfa.SubsetB(nil, a.Eval(c.Lhs), c.Rhs.Lang); !ok {
 			return false
 		}
 	}
@@ -64,19 +66,21 @@ func CheckMaximal(s *System, a Assignment) error {
 				constrained = true
 				prefix := evalSlice(a, leaves[:i])
 				suffix := evalSlice(a, leaves[i+1:])
-				m := nfa.MaxMiddle(prefix, suffix, c.Rhs.Lang)
-				bound = nfa.Intersect(bound, m).Trim()
+				meet, _ := nfa.IntersectB(nil, bound, nfa.MaxMiddle(prefix, suffix, c.Rhs.Lang))
+				bound = meet.Trim()
 			}
 		}
+		notV, _ := nfa.ComplementB(nil, a.Lookup(v))
 		if !constrained {
 			// Unconstrained variables must be Σ* to be maximal.
 			if !nfa.Equivalent(a.Lookup(v), nfa.AnyString()) {
-				w, _ := nfa.Complement(a.Lookup(v)).ShortestWitness()
+				w, _ := notV.ShortestWitness()
 				return &MaximalityViolation{Var: v, Witness: w}
 			}
 			continue
 		}
-		gap := nfa.Intersect(bound, nfa.Complement(a.Lookup(v))).Trim()
+		meet, _ := nfa.IntersectB(nil, bound, notV)
+		gap := meet.Trim()
 		if gap.IsEmpty() {
 			continue // assigned language already covers the bound
 		}
@@ -129,10 +133,11 @@ func evalSlice(a Assignment, leaves []Expr) *nfa.NFA {
 // returned solution's [v1·v2]. Coverage is decided exactly on languages:
 // (c1·c2) ∩ c3 ⊆ ⋃ᵢ (V1ᵢ·V2ᵢ).
 func CheckAllSolutions(c1, c2, c3 *nfa.NFA, sols []CISolution) bool {
-	whole := nfa.Intersect(nfa.Concat(c1, c2), c3)
+	whole, _ := nfa.IntersectB(nil, nfa.Concat(c1, c2), c3)
 	covered := nfa.Empty()
 	for _, s := range sols {
 		covered = nfa.Union(covered, nfa.Concat(s.V1, s.V2))
 	}
-	return nfa.Subset(whole, covered)
+	ok, _ := nfa.SubsetB(nil, whole, covered)
+	return ok
 }

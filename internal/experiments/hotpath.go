@@ -112,6 +112,9 @@ func hotpathMeasure(name string, iters int, fn func()) HotpathRow {
 func HotpathExperiment(skipBig bool) (HotpathReport, error) {
 	var rep HotpathReport
 
+	// The rows run without a budget, and a nil budget cannot fail (see
+	// budget.Budget), so the constructions' errors are dropped below.
+	//
 	// product-chain: gci stage 1 in miniature — a variable's language is
 	// repeatedly intersected with constraining constants, trimming between
 	// steps. The chained products re-derive each other's parallel edges,
@@ -123,7 +126,8 @@ func HotpathExperiment(skipBig bool) (HotpathReport, error) {
 	rep.Rows = append(rep.Rows, hotpathMeasure("product-chain", 5, func() {
 		lang := nfa.AnyString()
 		for _, c := range []*nfa.NFA{ca, cb, cc} {
-			lang = nfa.Intersect(lang, c).Trim()
+			p, _ := nfa.IntersectB(nil, lang, c)
+			lang = p.Trim()
 		}
 		chainOut = lang
 	}))
@@ -139,7 +143,8 @@ func HotpathExperiment(skipBig bool) (HotpathReport, error) {
 	q1 := regex.MustCompile("(ab|cd){0,6}")
 	q2 := regex.MustCompile("[a-d]{0,12}")
 	q3 := regex.MustCompile("[a-d]{0,16}")
-	m5 := nfa.Intersect(nfa.ConcatTagged(q1, q2, 0), q3).Trim()
+	p5, _ := nfa.IntersectB(nil, nfa.ConcatTagged(q1, q2, 0), q3)
+	m5 := p5.Trim()
 	seams := m5.TaggedEdges()
 	if len(seams) < 8 {
 		return rep, fmt.Errorf("hotpath: induce root has only %d seams", len(seams))
@@ -165,7 +170,7 @@ func HotpathExperiment(skipBig bool) (HotpathReport, error) {
 	dm := regex.MustCompile("(ab|cd){0,32}")
 	var dfa *nfa.DFA
 	rep.Rows = append(rep.Rows, hotpathMeasure("determinize", 100, func() {
-		dfa = nfa.Determinize(dm)
+		dfa, _ = nfa.DeterminizeB(nil, dm)
 	}))
 
 	// minimize: Hopcroft's refinement on the DFA of a 2,000-byte literal,
@@ -176,10 +181,10 @@ func HotpathExperiment(skipBig bool) (HotpathReport, error) {
 	for i := 0; text.Len() < 2000; i++ {
 		fmt.Fprintf(&text, "col_%02d_%02d,", i/8, i%8)
 	}
-	chain := nfa.Determinize(nfa.Literal(text.String()[:2000]))
+	chain, _ := nfa.DeterminizeB(nil, nfa.Literal(text.String()[:2000]))
 	var minimal *nfa.DFA
 	rep.Rows = append(rep.Rows, hotpathMeasure("minimize", 20, func() {
-		minimal = chain.Minimize()
+		minimal, _ = chain.MinimizeB(nil)
 	}))
 	if minimal.NumStates() != chain.NumStates() {
 		return rep, fmt.Errorf("hotpath: minimizing a minimal %d-state chain gave %d states",

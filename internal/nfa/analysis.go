@@ -103,7 +103,7 @@ func (m *NFA) MaxWordLength() (length int, infinite, ok bool) {
 // 0..maxLen, computed on the determinized machine so nondeterministic
 // duplicates are not double-counted.
 func (m *NFA) CountWords(maxLen int) []int {
-	d := Determinize(m)
+	d, _ := DeterminizeB(nil, m) // nil budget cannot fail (see budget.Budget)
 	// dist[s] = number of distinct strings of the current length reaching s.
 	dist := make([]int, d.NumStates())
 	dist[d.start] = 1

@@ -7,7 +7,7 @@ import (
 // DFA is a deterministic, complete automaton over alphabet atoms. Each state
 // has exactly one outgoing transition per atom class, and the atom classes
 // partition Σ, so every byte has exactly one successor. DFAs are produced by
-// Determinize and consumed by Complement, Minimize, and the inclusion/
+// DeterminizeB and consumed by Complement, MinimizeB, and the inclusion/
 // equivalence checks.
 type DFA struct {
 	atoms  []CharSet  // pairwise-disjoint classes covering Σ
@@ -52,19 +52,13 @@ func (d *DFA) Accepts(w string) bool {
 	return d.accept[s]
 }
 
-// Determinize applies the subset construction to m, producing a complete
-// DFA over the atom partition induced by m's edge labels.
-func Determinize(m *NFA) *DFA {
-	d, _ := DeterminizeB(nil, m) // nil budget cannot fail (see budget.Budget)
-	return d
-}
-
-// DeterminizeB is Determinize under a resource budget: each DFA state the
-// subset construction materializes is accounted against bud, and the
-// construction aborts with the budget's *Exhausted error when the budget
-// trips. Determinization is the solver's worst-case-exponential step (the
-// complement-based subset and maximality machinery all route through it),
-// so this is where state caps bite first.
+// DeterminizeB applies the subset construction to m, producing a complete
+// DFA over the atom partition induced by m's edge labels. Each DFA state the
+// construction materializes is accounted against bud, and the construction
+// aborts with the budget's *Exhausted error when the budget trips; a nil
+// budget is unlimited and cannot fail. Determinization is the solver's
+// worst-case-exponential step (the complement-based subset and maximality
+// machinery all route through it), so this is where state caps bite first.
 //
 // Each subset is keyed by its members rather than by a bitset as wide as
 // the machine, and successors are gathered in one reused bitset, so a step
@@ -151,26 +145,20 @@ func (d *DFA) IsEmpty() bool {
 	return true
 }
 
-// Minimize returns the canonical minimal DFA for L(d).
-func (d *DFA) Minimize() *DFA {
-	m, _ := d.MinimizeB(nil) // nil budget cannot fail (see budget.Budget)
-	return m
-}
-
 // minimizeCheckEvery is how many splitters MinimizeB processes between
 // budget checkpoints.
 const minimizeCheckEvery = 256
 
-// MinimizeB is Minimize under a resource budget. It is Hopcroft's partition
-// refinement (Hopcroft 1971) over the DFA's atom classes, on the refinable
-// partition of Valmari & Lehtinen (STACS 2008): starting from accepting vs.
-// non-accepting, each splitter block cuts every block into the states that
-// do and do not enter it on an atom, and only the smaller half of a cut
-// becomes a new splitter. A state therefore enters O(log n) splitters, and
-// the refinement costs O(n·k·log n) for n states and k atoms, where Moore's
-// round-by-round refinement needs up to n rounds of O(n·k) each (a chain
-// of n states needs all n). It checkpoints the nfa.minimize stage on entry
-// and after every minimizeCheckEvery splitters.
+// MinimizeB returns the canonical minimal DFA for L(d). It is Hopcroft's
+// partition refinement (Hopcroft 1971) over the DFA's atom classes, on the
+// refinable partition of Valmari & Lehtinen (STACS 2008): starting from
+// accepting vs. non-accepting, each splitter block cuts every block into the
+// states that do and do not enter it on an atom, and only the smaller half
+// of a cut becomes a new splitter. A state therefore enters O(log n)
+// splitters, and the refinement costs O(n·k·log n) for n states and k atoms,
+// where Moore's round-by-round refinement needs up to n rounds of O(n·k)
+// each (a chain of n states needs all n). It checkpoints the nfa.minimize
+// stage on entry and after every minimizeCheckEvery splitters.
 //
 // Classes are numbered as Moore's refinement numbers them: an unrefined
 // partition keeps non-accepting states at 0 and accepting states at 1, and
@@ -373,13 +361,8 @@ func (d *DFA) ToNFA() *NFA {
 	return bl.Build(d.start, f).Trim()
 }
 
-// Complement returns an NFA for Σ* \ L(m).
-func Complement(m *NFA) *NFA {
-	return Determinize(m).Complement().ToNFA()
-}
-
-// ComplementB is Complement under a resource budget (the determinization it
-// routes through is the expensive part).
+// ComplementB returns an NFA for Σ* \ L(m). The determinization it routes
+// through is the expensive part, and is accounted against bud.
 func ComplementB(bud *budget.Budget, m *NFA) (*NFA, error) {
 	d, err := DeterminizeB(bud, m)
 	if err != nil {
@@ -388,15 +371,19 @@ func ComplementB(bud *budget.Budget, m *NFA) (*NFA, error) {
 	return d.Complement().ToNFA(), nil
 }
 
-// Minimized returns an equivalent NFA with the minimal deterministic state
-// count. The paper notes (§4) that applying minimization to intermediate
-// machines can improve the pathological cases; the solver exposes this as an
-// option.
+// Minimized is MinimizedB without a budget.
+//
+// Deprecated: call MinimizedB(nil, m). Minimized stays only for the
+// benchmark's canonicalization probe.
 func Minimized(m *NFA) *NFA {
-	return Determinize(m).Minimize().ToNFA()
+	n, _ := MinimizedB(nil, m) // nil budget cannot fail (see budget.Budget)
+	return n
 }
 
-// MinimizedB is Minimized under a resource budget.
+// MinimizedB returns an equivalent NFA with the minimal deterministic state
+// count, accounting the determinization and minimization against bud. The
+// paper notes (§4) that applying minimization to intermediate machines can
+// improve the pathological cases; the solver exposes this as an option.
 func MinimizedB(bud *budget.Budget, m *NFA) (*NFA, error) {
 	d, err := DeterminizeB(bud, m)
 	if err != nil {

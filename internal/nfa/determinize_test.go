@@ -4,7 +4,7 @@ import "testing"
 
 func TestDeterminizeAccepts(t *testing.T) {
 	m := Union(Literal("ab"), Star(Literal("a")))
-	d := Determinize(m)
+	d := unbudgeted(DeterminizeB(nil, m))
 	for _, w := range []string{"", "a", "aa", "ab", "aaa"} {
 		if !d.Accepts(w) {
 			t.Errorf("DFA should accept %q", w)
@@ -18,7 +18,7 @@ func TestDeterminizeAccepts(t *testing.T) {
 }
 
 func TestDeterminizeEmpty(t *testing.T) {
-	d := Determinize(Empty())
+	d := unbudgeted(DeterminizeB(nil, Empty()))
 	if !d.IsEmpty() {
 		t.Fatal("DFA of empty language should be empty")
 	}
@@ -29,7 +29,7 @@ func TestDeterminizeEmpty(t *testing.T) {
 
 func TestDFAComplement(t *testing.T) {
 	m := Literal("ab")
-	c := Determinize(m).Complement()
+	c := unbudgeted(DeterminizeB(nil, m)).Complement()
 	if c.Accepts("ab") {
 		t.Fatal("complement accepts member")
 	}
@@ -42,7 +42,7 @@ func TestDFAComplement(t *testing.T) {
 
 func TestComplementInvolution(t *testing.T) {
 	m := Union(Literal("x"), Star(Literal("yz")))
-	cc := Complement(Complement(m))
+	cc := unbudgeted(ComplementB(nil, unbudgeted(ComplementB(nil, m))))
 	if !Equivalent(m, cc) {
 		t.Fatal("double complement should be identity on languages")
 	}
@@ -52,7 +52,7 @@ func TestMinimizeReducesStates(t *testing.T) {
 	// (a|b)(a|b) via a redundant construction.
 	ab := Class(Range('a', 'b'))
 	m := Union(Concat(Literal("a"), ab.Copy()), Concat(Literal("b"), ab.Copy()))
-	min := Determinize(m).Minimize()
+	min := unbudgeted(unbudgeted(DeterminizeB(nil, m)).MinimizeB(nil))
 	// Minimal DFA for [ab][ab]: start, after-1, accept, dead = 4 states.
 	if min.NumStates() != 4 {
 		t.Fatalf("minimal DFA has %d states, want 4", min.NumStates())
@@ -68,17 +68,18 @@ func TestMinimizeReducesStates(t *testing.T) {
 }
 
 func TestMinimizeEmptyAndSigmaStar(t *testing.T) {
-	if n := Determinize(Empty()).Minimize().NumStates(); n != 1 {
+	empty, all := unbudgeted(DeterminizeB(nil, Empty())), unbudgeted(DeterminizeB(nil, AnyString()))
+	if n := unbudgeted(empty.MinimizeB(nil)).NumStates(); n != 1 {
 		t.Fatalf("minimal empty DFA states = %d, want 1", n)
 	}
-	if n := Determinize(AnyString()).Minimize().NumStates(); n != 1 {
+	if n := unbudgeted(all.MinimizeB(nil)).NumStates(); n != 1 {
 		t.Fatalf("minimal Σ* DFA states = %d, want 1", n)
 	}
 }
 
 func TestDFAToNFARoundTrip(t *testing.T) {
 	m := Union(Literal("foo"), Plus(Literal("ba")))
-	back := Determinize(m).Minimize().ToNFA()
+	back := unbudgeted(MinimizedB(nil, m))
 	if !Equivalent(m, back) {
 		t.Fatal("DFA→NFA round trip changed the language")
 	}
@@ -86,14 +87,14 @@ func TestDFAToNFARoundTrip(t *testing.T) {
 
 func TestComplementNFA(t *testing.T) {
 	m := Plus(Class(Range('0', '9')))
-	c := Complement(m)
+	c := unbudgeted(ComplementB(nil, m))
 	mustAccept(t, c, "", "a", "1a", "a1")
 	mustReject(t, c, "1", "42", "00000")
 }
 
 func TestMinimizedHelper(t *testing.T) {
 	m := UnionAll(Literal("aa"), Literal("aa"), Literal("aa"))
-	min := Minimized(m)
+	min := unbudgeted(MinimizedB(nil, m))
 	if !Equivalent(m, min) {
 		t.Fatal("Minimized changed the language")
 	}
@@ -105,16 +106,16 @@ func TestMinimizedHelper(t *testing.T) {
 func TestSubset(t *testing.T) {
 	digits := Plus(Class(Range('0', '9')))
 	some := Literal("123")
-	if !Subset(some, digits) {
+	if !unbudgeted(SubsetB(nil, some, digits)) {
 		t.Fatal("123 ⊆ [0-9]+ should hold")
 	}
-	if Subset(digits, some) {
+	if unbudgeted(SubsetB(nil, digits, some)) {
 		t.Fatal("[0-9]+ ⊆ 123 should not hold")
 	}
-	if !Subset(Empty(), some) {
+	if !unbudgeted(SubsetB(nil, Empty(), some)) {
 		t.Fatal("∅ is a subset of everything")
 	}
-	if !Subset(some, AnyString()) {
+	if !unbudgeted(SubsetB(nil, some, AnyString())) {
 		t.Fatal("everything is a subset of Σ*")
 	}
 }
@@ -159,7 +160,7 @@ func TestFingerprintEmptyAndEpsilon(t *testing.T) {
 	if unbudgeted(FingerprintB(nil, Empty())) == unbudgeted(FingerprintB(nil, Epsilon())) {
 		t.Fatal("∅ and {ε} must differ")
 	}
-	if unbudgeted(FingerprintB(nil, Empty())) != unbudgeted(FingerprintB(nil, Intersect(Literal("a"), Literal("b")))) {
+	if unbudgeted(FingerprintB(nil, Empty())) != unbudgeted(FingerprintB(nil, unbudgeted(IntersectB(nil, Literal("a"), Literal("b"))))) {
 		t.Fatal("two empty languages must match")
 	}
 }

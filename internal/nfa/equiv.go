@@ -7,16 +7,10 @@ import (
 	"dprle/internal/budget"
 )
 
-// Subset reports whether L(a) ⊆ L(b), decided as L(a) ∩ (Σ* \ L(b)) = ∅.
-func Subset(a, b *NFA) bool {
-	ok, _ := SubsetB(nil, a, b) // nil budget cannot fail (see budget.Budget)
-	return ok
-}
-
-// SubsetB is Subset under a resource budget: the complement
-// (determinization) and the product-pair exploration are both accounted
-// against bud. The emptiness side runs through IntersectsB, which builds no
-// product machine and exits on the first counterexample path.
+// SubsetB reports whether L(a) ⊆ L(b), decided as L(a) ∩ (Σ* \ L(b)) = ∅.
+// The complement (determinization) and the product-pair exploration are both
+// accounted against bud. The emptiness side runs through IntersectsB, which
+// builds no product machine and exits on the first counterexample path.
 func SubsetB(bud *budget.Budget, a, b *NFA) (bool, error) {
 	nb, err := ComplementB(bud, b)
 	if err != nil {
@@ -31,7 +25,12 @@ func SubsetB(bud *budget.Budget, a, b *NFA) (bool, error) {
 
 // Equivalent reports whether L(a) = L(b).
 func Equivalent(a, b *NFA) bool {
-	return Subset(a, b) && Subset(b, a)
+	ab, _ := SubsetB(nil, a, b) // nil budget cannot fail (see budget.Budget)
+	if !ab {
+		return false
+	}
+	ba, _ := SubsetB(nil, b, a)
+	return ba
 }
 
 // FingerprintB returns a canonical string identifying L(m): two machines

@@ -161,7 +161,7 @@ func diffMachines() []*NFA {
 			ms = append(ms, lit,
 				Star(lit),
 				Union(lit, Literal(w[:n/2]+randWord(r, n-n/2, k))),
-				Intersect(lit, Literal(w)),
+				unbudgeted(IntersectB(nil, lit, Literal(w))),
 				Concat(lit, Class(Range('a', 'c'))))
 		}
 	}
@@ -170,11 +170,11 @@ func diffMachines() []*NFA {
 
 func TestMinimizeMatchesMoore(t *testing.T) {
 	for i, m := range diffMachines() {
-		d := Determinize(m)
+		d := unbudgeted(DeterminizeB(nil, m))
 		if d.NumStates() > 1000 {
 			t.Fatalf("machine %d has %d DFA states; keep the reference under 1,000", i, d.NumStates())
 		}
-		got, want := d.Minimize(), mooreMinimize(d)
+		got, want := unbudgeted(d.MinimizeB(nil)), mooreMinimize(d)
 		if got.NumStates() != want.NumStates() {
 			t.Fatalf("machine %d (%d DFA states): Hopcroft %d states, Moore %d",
 				i, d.NumStates(), got.NumStates(), want.NumStates())
@@ -194,7 +194,7 @@ func TestMinimizeMatchesMoore(t *testing.T) {
 // entry, and a step cap of 1 trips at the first checkpoint inside the
 // refinement.
 func TestMinimizeBudgetTrips(t *testing.T) {
-	d := Determinize(Literal(strings.Repeat("abcdefghij", 500)))
+	d := unbudgeted(DeterminizeB(nil, Literal(strings.Repeat("abcdefghij", 500))))
 	if d.NumStates() < 5000 {
 		t.Fatalf("chain has %d states, want at least 5000", d.NumStates())
 	}

@@ -8,7 +8,7 @@ import "dprle/internal/budget"
 // in machine structure anyway.
 const denseProductLimit = 1 << 22
 
-// Intersect implements the cross-product construction of paper Fig. 3
+// IntersectB implements the cross-product construction of paper Fig. 3
 // (lines 7–8): the returned machine recognizes L(a) ∩ L(b). Both operands may
 // contain ε-transitions; ε-moves advance one side at a time (the standard
 // asynchronous product). Seam tags on ε-edges of either operand are
@@ -17,19 +17,11 @@ const denseProductLimit = 1 << 22
 // the paper's Qlhs/Qrhs scan enumerates.
 //
 // Only product states reachable from the product start are materialized.
-func Intersect(a, b *NFA) *NFA {
-	// A nil *budget.Budget never trips — Check/AddStates return nil
-	// immediately on a nil receiver — so IntersectB's error is statically
-	// nil here and safe to discard (budgetcheck encodes this contract).
-	m, _ := IntersectB(nil, a, b)
-	return m
-}
-
-// IntersectB is Intersect under a resource budget: every materialized
-// product state is accounted against bud, and the construction aborts with
-// the budget's *Exhausted error as soon as the budget trips. The product is
-// the solver's worst-case-quadratic (and, chained, exponential) step, so
-// this is the primary interruption point for deadlines and state caps.
+// Each is accounted against bud, and the construction aborts with the
+// budget's *Exhausted error as soon as the budget trips. The product is the
+// solver's worst-case-quadratic (and, chained, exponential) step, so this is
+// the primary interruption point for deadlines and state caps. A nil budget
+// never trips, so IntersectB(nil, a, b) cannot fail.
 func IntersectB(bud *budget.Budget, a, b *NFA) (*NFA, error) {
 	type pair struct{ pa, pb int }
 	var edges [][]Edge

@@ -5,13 +5,13 @@ import "testing"
 func TestIntersectBasic(t *testing.T) {
 	a := Union(Literal("cat"), Literal("dog"))
 	b := Union(Literal("dog"), Literal("emu"))
-	m := Intersect(a, b)
+	m := unbudgeted(IntersectB(nil, a, b))
 	mustAccept(t, m, "dog")
 	mustReject(t, m, "cat", "emu", "")
 }
 
 func TestIntersectDisjoint(t *testing.T) {
-	m := Intersect(Literal("a"), Literal("b"))
+	m := unbudgeted(IntersectB(nil, Literal("a"), Literal("b")))
 	if !m.IsEmpty() {
 		t.Fatal("intersection of disjoint languages should be empty")
 	}
@@ -19,7 +19,7 @@ func TestIntersectDisjoint(t *testing.T) {
 
 func TestIntersectWithSigmaStar(t *testing.T) {
 	a := Literal("hello")
-	m := Intersect(a, AnyString())
+	m := unbudgeted(IntersectB(nil, a, AnyString()))
 	if !Equivalent(m, a) {
 		t.Fatal("L ∩ Σ* should equal L")
 	}
@@ -29,7 +29,7 @@ func TestIntersectClassLabels(t *testing.T) {
 	// [a-m]+ ∩ [h-z]+ = [h-m]+
 	a := Plus(Class(Range('a', 'm')))
 	b := Plus(Class(Range('h', 'z')))
-	m := Intersect(a, b)
+	m := unbudgeted(IntersectB(nil, a, b))
 	mustAccept(t, m, "h", "m", "hm", "jklm")
 	mustReject(t, m, "a", "z", "hma")
 	if !Equivalent(m, Plus(Class(Range('h', 'm')))) {
@@ -43,7 +43,7 @@ func TestIntersectPreservesSeamTags(t *testing.T) {
 	c2 := Concat(Star(Class(AnyByte())), Class(Range('0', '9'))) // Σ*[0-9]
 	hasQuote := Concat(Concat(Star(Class(AnyByte())), Literal("'")), Star(Class(AnyByte())))
 	l4 := ConcatTagged(c1, c2, 0)
-	l5 := Intersect(l4, hasQuote).Trim()
+	l5 := unbudgeted(IntersectB(nil, l4, hasQuote)).Trim()
 	if l5.IsEmpty() {
 		t.Fatal("l5 should be nonempty")
 	}
@@ -63,7 +63,7 @@ func TestIntersectPreservesSeamTags(t *testing.T) {
 
 func TestIntersectUnreachableFinal(t *testing.T) {
 	// a ∩ b where joint final unreachable: must build a valid empty machine.
-	m := Intersect(Literal("aa"), Literal("a"))
+	m := unbudgeted(IntersectB(nil, Literal("aa"), Literal("a")))
 	if !m.IsEmpty() {
 		t.Fatal("should be empty")
 	}
@@ -86,7 +86,7 @@ func TestIntersectAll(t *testing.T) {
 func TestIntersectCommutesOnLanguage(t *testing.T) {
 	a := Union(Star(Literal("ab")), Literal("ba"))
 	b := Concat(Class(Range('a', 'b')), Star(Class(Range('a', 'b'))))
-	if !Equivalent(Intersect(a, b), Intersect(b, a)) {
+	if !Equivalent(unbudgeted(IntersectB(nil, a, b)), unbudgeted(IntersectB(nil, b, a))) {
 		t.Fatal("intersection should commute on languages")
 	}
 }

@@ -63,7 +63,7 @@ func TestPropDeterminizePreservesLanguage(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	f := func() bool {
 		m := randMachine(r, 2)
-		d := Determinize(m)
+		d := unbudgeted(DeterminizeB(nil, m))
 		for _, w := range sampleStrings(r, 12) {
 			if m.Accepts(w) != d.Accepts(w) {
 				t.Logf("mismatch on %q for %v", w, m)
@@ -81,7 +81,7 @@ func TestPropMinimizePreservesLanguage(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	f := func() bool {
 		m := randMachine(r, 2)
-		min := Determinize(m).Minimize()
+		min := unbudgeted(unbudgeted(DeterminizeB(nil, m)).MinimizeB(nil))
 		for _, w := range sampleStrings(r, 12) {
 			if m.Accepts(w) != min.Accepts(w) {
 				return false
@@ -99,7 +99,7 @@ func TestPropIntersectionIsConjunction(t *testing.T) {
 	f := func() bool {
 		a := randMachine(r, 2)
 		b := randMachine(r, 2)
-		m := Intersect(a, b)
+		m := unbudgeted(IntersectB(nil, a, b))
 		for _, w := range sampleStrings(r, 12) {
 			if m.Accepts(w) != (a.Accepts(w) && b.Accepts(w)) {
 				return false
@@ -134,7 +134,7 @@ func TestPropComplementIsNegation(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	f := func() bool {
 		m := randMachine(r, 2)
-		c := Complement(m)
+		c := unbudgeted(ComplementB(nil, m))
 		for _, w := range sampleStrings(r, 12) {
 			if c.Accepts(w) == m.Accepts(w) {
 				return false

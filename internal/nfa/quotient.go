@@ -86,20 +86,15 @@ func jointlyReachable(bud *budget.Budget, a, x *NFA, requireAFinal bool) ([]bool
 // MaxMiddle returns the largest language M with L(a)·M·L(b) ⊆ L(c),
 // namely ¬( L(a)⁻¹ · ¬L(c) · L(b)⁻¹ ). Pass Epsilon() for an absent side.
 func MaxMiddle(a, b, c *NFA) *NFA {
-	return MaxMiddleNot(a, b, Complement(c))
-}
-
-// MaxMiddleNot is MaxMiddle with the complement of c precomputed, letting
-// callers that probe many (a, b) pairs against one constant amortize the
-// determinization.
-func MaxMiddleNot(a, b, notC *NFA) *NFA {
-	m, _ := MaxMiddleNotB(nil, a, b, notC) // nil budget cannot fail (see budget.Budget)
+	notC, _ := ComplementB(nil, c) // nil budget cannot fail (see budget.Budget)
+	m, _ := MaxMiddleNotB(nil, a, b, notC)
 	return m
 }
 
-// MaxMiddleNotB is MaxMiddleNot under a resource budget. The chain contains
-// two quotient explorations and a complement (which determinizes), all of
-// which are accounted.
+// MaxMiddleNotB is MaxMiddle with the complement of c precomputed, letting
+// callers that probe many (a, b) pairs against one constant amortize the
+// determinization. The chain contains two quotient explorations and a
+// complement (which determinizes), all of which are accounted against bud.
 func MaxMiddleNotB(bud *budget.Budget, a, b, notC *NFA) (*NFA, error) {
 	lq, err := LeftQuotientB(bud, a, notC)
 	if err != nil {

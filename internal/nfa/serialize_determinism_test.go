@@ -10,9 +10,9 @@ import "testing"
 func buildPipelineMachine() *NFA {
 	a := Concat(Literal("ab"), Star(Union(Literal("c"), Literal("dd"))))
 	b := ConcatTagged(Literal("a"), Star(Class(Range('a', 'd'))), 7)
-	p := Intersect(a, b)
+	p := unbudgeted(IntersectB(nil, a, b))
 	u := Union(p, Literal("abe"))
-	return Minimized(u)
+	return unbudgeted(MinimizedB(nil, u))
 }
 
 // TestSerializeDeterministic rebuilds the pipeline machine repeatedly and

@@ -225,8 +225,8 @@ func TestSubstrateDifferentialDeterminize(t *testing.T) {
 	r := rand.New(rand.NewSource(109))
 	for i := 0; i < 60; i++ {
 		m := randMachine(r, 2)
-		d := Determinize(m)
-		min := d.Minimize()
+		d := unbudgeted(DeterminizeB(nil, m))
+		min := unbudgeted(d.MinimizeB(nil))
 		ref := refFrom(m)
 		for _, w := range sampleStrings(r, 10) {
 			want := ref.accepts(w)
@@ -244,7 +244,7 @@ func TestSubstrateDifferentialIntersects(t *testing.T) {
 	r := rand.New(rand.NewSource(113))
 	for i := 0; i < 60; i++ {
 		a, b := randMachine(r, 2), randMachine(r, 2)
-		want := !refFrom(Intersect(a, b)).isEmpty()
+		want := !refFrom(unbudgeted(IntersectB(nil, a, b))).isEmpty()
 		if got := unbudgeted(IntersectsB(nil, a, b)); got != want {
 			t.Fatalf("case %d: Intersects=%v, product-emptiness reference says %v", i, got, want)
 		}

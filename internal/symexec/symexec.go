@@ -53,6 +53,7 @@ type executor struct {
 	sys      *core.System
 	ps       *PathSystem
 	litConst map[string]*core.Const
+	named    map[string]*core.Const // constants by name; see constant
 	fresh    int
 }
 
@@ -63,6 +64,7 @@ func ForPath(p cfg.PathToSink, pol policy.Policy) (*PathSystem, error) {
 		env:      map[string]symStr{},
 		sys:      core.NewSystem(),
 		litConst: map[string]*core.Const{},
+		named:    map[string]*core.Const{},
 	}
 	ex.ps = &PathSystem{Sys: ex.sys, InputKeys: map[string][2]string{}, Sink: p}
 	for _, step := range p.Steps {
@@ -83,7 +85,11 @@ func ForPath(p cfg.PathToSink, pol policy.Policy) (*PathSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ex.constrain(sink, "policy:"+pol.Name, pol.Lang); err != nil {
+	rhs, err := ex.constant("policy:"+pol.Name, func() (*nfa.NFA, error) { return pol.Lang, nil })
+	if err != nil {
+		return nil, err
+	}
+	if err := ex.constrain(sink, rhs); err != nil {
 		return nil, err
 	}
 	return ex.ps, nil
@@ -114,38 +120,64 @@ func (ex *executor) cond(st cfg.CondStep) error {
 	if err != nil {
 		return err
 	}
-	r, err := regex.Parse(pm.Pattern)
-	if err != nil {
-		return fmt.Errorf("symexec: preg_match pattern: %w", err)
-	}
-	flags := ""
-	if pm.CaseInsensitive {
-		r = r.CaseInsensitive()
-		flags = "i"
-	}
-	matchLang, err := r.MatchLanguage()
-	if err != nil {
-		return fmt.Errorf("symexec: preg_match pattern: %w", err)
-	}
 	// The branch tells us whether the condition was true; the condition is
 	// the (possibly negated) match result.
 	matched := st.Taken != pm.Negated
+	name := "nomatch:/" + pm.Pattern + "/"
 	if matched {
-		return ex.constrain(val, fmt.Sprintf("match:/%s/%s", pm.Pattern, flags), matchLang)
+		name = "match:/" + pm.Pattern + "/"
 	}
-	return ex.constrain(val, fmt.Sprintf("nomatch:/%s/%s", pm.Pattern, flags), nfa.Complement(matchLang))
+	if pm.CaseInsensitive {
+		name += "i"
+	}
+	rhs, err := ex.constant(name, func() (*nfa.NFA, error) {
+		r, err := regex.Parse(pm.Pattern)
+		if err != nil {
+			return nil, fmt.Errorf("symexec: preg_match pattern: %w", err)
+		}
+		if pm.CaseInsensitive {
+			r = r.CaseInsensitive()
+		}
+		m, err := r.MatchLanguage()
+		if err != nil {
+			return nil, fmt.Errorf("symexec: preg_match pattern: %w", err)
+		}
+		if !matched {
+			m, _ = nfa.ComplementB(nil, m) // nil budget cannot fail
+		}
+		return m, nil
+	})
+	if err != nil {
+		return err
+	}
+	return ex.constrain(val, rhs)
 }
 
-// constrain adds (concat of val's atoms) ⊆ lang to the system. Constant-only
+// constant returns the constant registered under name, calling build for
+// its language only the first time name occurs on this path: a filter met
+// again is neither recompiled nor re-checked for equivalence. A name the
+// system already holds with a different language (two policies sharing a
+// name) falls back to an anonymous constant.
+func (ex *executor) constant(name string, build func() (*nfa.NFA, error)) (*core.Const, error) {
+	if c, ok := ex.named[name]; ok {
+		return c, nil
+	}
+	m, err := build()
+	if err != nil {
+		return nil, err
+	}
+	c, err := ex.sys.Const(name, m)
+	if err != nil {
+		c = ex.sys.AnonConst(m)
+	}
+	ex.named[name] = c
+	return c, nil
+}
+
+// constrain adds (concat of val's atoms) ⊆ rhs to the system. Constant-only
 // symbolic values still generate the constraint (it may be unsatisfiable,
 // proving the path infeasible).
-func (ex *executor) constrain(val symStr, rhsName string, langM *nfa.NFA) error {
-	rhs, err := ex.sys.Const(rhsName, langM)
-	if err != nil {
-		// Same name, different language (e.g. two policies sharing a name):
-		// fall back to an anonymous constant.
-		rhs = ex.sys.AnonConst(langM)
-	}
+func (ex *executor) constrain(val symStr, rhs *core.Const) error {
 	expr, err := ex.toExpr(val)
 	if err != nil {
 		return err
@@ -234,34 +266,34 @@ func (ex *executor) eval(e lang.Expr) (symStr, error) {
 // return a fresh unconstrained variable (a sound overapproximation for
 // attacker-reachability: the result could be anything).
 func (ex *executor) call(c *lang.Call) (symStr, error) {
-	mkConstrained := func(hint, rhsName string, langM *nfa.NFA) (symStr, error) {
-		v := ex.freshVar(hint)
-		var rhs *core.Const
-		if rhsName == "" {
-			rhs = ex.sys.AnonConst(langM)
-		} else if named, err := ex.sys.Const(rhsName, langM); err == nil {
-			rhs = named
-		} else {
-			rhs = ex.sys.AnonConst(langM)
-		}
-		if err := ex.sys.Add(core.Var{Name: v}, rhs); err != nil {
+	// constrained returns a fresh variable constrained to rhs.
+	constrained := func(hint string, rhs *core.Const) (symStr, error) {
+		v := symStr{{v: ex.freshVar(hint), isVar: true}}
+		if err := ex.constrain(v, rhs); err != nil {
 			return nil, err
 		}
-		ex.ps.NumConstraints++
-		return symStr{{v: v, isVar: true}}, nil
+		return v, nil
+	}
+	// compiled returns a fresh variable constrained to the language of the
+	// regex src, registered under name.
+	compiled := func(hint, name, src string) (symStr, error) {
+		rhs, err := ex.constant(name, func() (*nfa.NFA, error) { return regex.MustCompile(src), nil })
+		if err != nil {
+			return nil, err
+		}
+		return constrained(hint, rhs)
 	}
 	switch c.Name {
 	case "intval":
 		// The string form of an integer.
-		return mkConstrained("intval", "lang:int", regex.MustCompile(`-?[0-9]+`))
+		return compiled("intval", "lang:int", `-?[0-9]+`)
 	case "addslashes":
 		// Quotes and backslashes are escaped: no bare ' survives.
-		return mkConstrained("addslashes", "lang:slashed",
-			regex.MustCompile(`([^'\\]|\\[\x00-\xff])*`))
+		return compiled("addslashes", "lang:slashed", `([^'\\]|\\[\x00-\xff])*`)
 	case "md5":
-		return mkConstrained("md5", "lang:md5", regex.MustCompile(`[0-9a-f]{32}`))
+		return compiled("md5", "lang:md5", `[0-9a-f]{32}`)
 	case "sha1":
-		return mkConstrained("sha1", "lang:sha1", regex.MustCompile(`[0-9a-f]{40}`))
+		return compiled("sha1", "lang:sha1", `[0-9a-f]{40}`)
 	case "str_replace":
 		// str_replace(search, replace, subject) with a single-byte constant
 		// search whose byte does not occur in the constant replacement has
@@ -269,7 +301,7 @@ func (ex *executor) call(c *lang.Call) (symStr, error) {
 		// quote-doubling sanitizers. Anything more general degrades to an
 		// unconstrained fresh variable.
 		if lang, ok := strReplaceImage(c); ok {
-			return mkConstrained("str_replace", "", lang)
+			return constrained("str_replace", ex.sys.AnonConst(lang))
 		}
 		v := ex.freshVar("str_replace")
 		return symStr{{v: v, isVar: true}}, nil

@@ -86,6 +86,47 @@ func TestConstraintCounting(t *testing.T) {
 	}
 }
 
+// TestRepeatedFilterSharesConstant pins how a path interns its named
+// constraint languages: a filter met again shares the first occurrence's
+// constant, while the same pattern on a negated branch and its /i twin
+// each get their own. Every occurrence is still a constraint.
+func TestRepeatedFilterSharesConstant(t *testing.T) {
+	src := `
+$x = $_GET['x'];
+$y = $_GET['y'];
+if (!preg_match('/^[a-z]+$/', $x)) { exit; }
+if (!preg_match('/^[a-z]+$/', $x)) { exit; }
+if (preg_match('/^[a-z]+$/', $y)) { exit; }
+if (!preg_match('/^[a-z]+$/i', $y)) { exit; }
+query("SELECT " . $x . $y);
+`
+	paths := cfg.PathsToSinks(lang.MustParse("t.php", src), 0)
+	if len(paths) != 1 {
+		t.Fatalf("paths = %d, want 1", len(paths))
+	}
+	ps, err := ForPath(paths[0], policy.SQLDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four filter constraints, then the sink's.
+	cs := ps.Sys.Constraints()
+	if ps.NumConstraints != 5 || len(cs) != 5 {
+		t.Fatalf("|C| = %d with %d constraints, want 5", ps.NumConstraints, len(cs))
+	}
+	first, repeat, negated, folded := cs[0].Rhs, cs[1].Rhs, cs[2].Rhs, cs[3].Rhs
+	if repeat != first {
+		t.Errorf("repeated filter got constant %s, want the first one, %s", repeat.Name, first.Name)
+	}
+	if negated == first || folded == first || negated == folded {
+		t.Errorf("negated branch (%s) and /i twin (%s) must each get their own constant, apart from %s",
+			negated.Name, folded.Name, first.Name)
+	}
+	names := first.Name + " " + negated.Name + " " + folded.Name
+	if want := "match:/^[a-z]+$/ nomatch:/^[a-z]+$/ match:/^[a-z]+$/i"; names != want {
+		t.Errorf("constants %s, want %s", names, want)
+	}
+}
+
 func TestNegatedGuardBranch(t *testing.T) {
 	// Taking the then-branch of a negated match means NO match: the
 	// complement constraint applies.
