@@ -3,6 +3,8 @@ package dprle
 import (
 	"strings"
 	"testing"
+
+	"dprle/internal/nfa"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -87,6 +89,28 @@ func TestLengthBetween(t *testing.T) {
 	unbounded := LengthBetween(3, -1)
 	if unbounded.Accepts("ab") || !unbounded.Accepts("abcdefgh") {
 		t.Fatal("unbounded length wrong")
+	}
+}
+
+// TestLengthBetweenMatchesFold pins LengthBetween's machine, state for
+// state, to the pairwise Concat fold it was built with before ConcatAll.
+func TestLengthBetweenMatchesFold(t *testing.T) {
+	for _, c := range [][2]int{{0, 0}, {0, 3}, {2, 4}, {3, -1}, {0, -1}, {5, 2}} {
+		any := nfa.Class(nfa.AnyByte())
+		want := nfa.Epsilon()
+		for i := 0; i < c[0]; i++ {
+			want = nfa.Concat(want, any)
+		}
+		if c[1] < 0 {
+			want = nfa.Concat(want, nfa.Star(any))
+		}
+		for i := c[0]; i < c[1]; i++ {
+			want = nfa.Concat(want, nfa.Optional(any))
+		}
+		if got := LengthBetween(c[0], c[1]).machine(); got.Marshal() != want.Marshal() {
+			t.Errorf("LengthBetween(%d, %d) differs from the Concat fold:\n%s\nwant:\n%s",
+				c[0], c[1], got.Marshal(), want.Marshal())
+		}
 	}
 }
 

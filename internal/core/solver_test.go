@@ -625,3 +625,20 @@ func TestMaxCombosTruncationReported(t *testing.T) {
 		t.Fatalf("assignments = %d, want 9", len(full.Assignments))
 	}
 }
+
+// TestEvalSliceMatchesFold pins evalSlice's machine, state for state, to
+// the pairwise Concat fold it was built with before ConcatAll.
+func TestEvalSliceMatchesFold(t *testing.T) {
+	a := Assignment{"x": regex.MustCompile("a|bc*"), "y": nfa.Literal("de")}
+	leaves := []Expr{Var{"x"}, &Const{Name: "c", Lang: regex.MustCompile("[0-9]+")}, Var{"y"}, Var{"x"}}
+	for n := 0; n <= len(leaves); n++ {
+		want := nfa.Epsilon()
+		for _, l := range leaves[:n] {
+			want = nfa.Concat(want, a.Eval(l))
+		}
+		if got := evalSlice(a, leaves[:n]); got.Marshal() != want.Marshal() {
+			t.Fatalf("evalSlice of %d leaves differs from the Concat fold:\n%s\nwant:\n%s",
+				n, got.Marshal(), want.Marshal())
+		}
+	}
+}

@@ -121,11 +121,11 @@ func flattenCat(e Expr) []Expr {
 // evalSlice evaluates the concatenation of a leaf slice under the
 // assignment; the empty slice is {ε}.
 func evalSlice(a Assignment, leaves []Expr) *nfa.NFA {
-	out := nfa.Epsilon()
+	ms := []*nfa.NFA{nfa.Epsilon()}
 	for _, l := range leaves {
-		out = nfa.Concat(out, a.Eval(l))
+		ms = append(ms, a.Eval(l))
 	}
-	return out
+	return nfa.ConcatAll(ms...)
 }
 
 // CheckAllSolutions verifies the All-Solutions property of the CI problem

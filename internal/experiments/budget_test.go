@@ -13,9 +13,10 @@ import (
 // TestSecureRawConstantsUnderBudget is the acceptance check for the
 // resource-governance work: the paper's pathological warp/secure case with
 // raw (uncanonicalized) constants — about 2 s of solving when unbudgeted,
-// against a third of a second canonicalized — completes promptly under a
-// 250 ms per-path deadline. The exhausted paths are recorded, any results
-// that do come back are verified partials, and no solver goroutines leak.
+// against under a tenth of a second canonicalized — completes promptly
+// under a 250 ms per-path deadline. The exhausted paths are recorded, any
+// results that do come back are verified partials, and no solver
+// goroutines leak.
 func TestSecureRawConstantsUnderBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second budget run")

@@ -3,11 +3,12 @@ package experiments
 // The hot-path experiment: steady-state measurements of the NFA substrate
 // operations the solver spends its time in — chained cross-products with
 // trimming (gci stage 1/2), the induce-per-seam loop (gci stage 4 / ci),
-// determinization, minimization, DFA membership, and a full corpus solve —
-// each reported as wall time plus heap allocations. cmd/benchtab renders the
-// report with -table hotpath and emits it machine-readably as
-// BENCH_hotpath.json, carrying a frozen baseline (captured before the
-// zero-copy/bitset rework) so every run shows the speedup trajectory.
+// determinization, minimization, constant canonicalization, DFA
+// membership, and a full corpus solve — each reported as wall time plus
+// heap allocations. cmd/benchtab renders the report with -table hotpath and
+// emits it machine-readably as BENCH_hotpath.json, carrying a frozen
+// baseline (captured before the zero-copy/bitset rework) so every run shows
+// the speedup trajectory.
 
 import (
 	"fmt"
@@ -106,7 +107,7 @@ func hotpathMeasure(name string, iters int, fn func()) HotpathRow {
 	}
 }
 
-// HotpathExperiment measures the six hot-path workloads. skipBig excludes
+// HotpathExperiment measures the seven hot-path workloads. skipBig excludes
 // the pathological warp/secure defect from the corpus row, matching the
 // cache experiment's default.
 func HotpathExperiment(skipBig bool) (HotpathReport, error) {
@@ -181,7 +182,8 @@ func HotpathExperiment(skipBig bool) (HotpathReport, error) {
 	for i := 0; text.Len() < 2000; i++ {
 		fmt.Fprintf(&text, "col_%02d_%02d,", i/8, i%8)
 	}
-	chain, _ := nfa.DeterminizeB(nil, nfa.Literal(text.String()[:2000]))
+	lit := nfa.Literal(text.String()[:2000])
+	chain, _ := nfa.DeterminizeB(nil, lit)
 	var minimal *nfa.DFA
 	rep.Rows = append(rep.Rows, hotpathMeasure("minimize", 20, func() {
 		minimal, _ = chain.MinimizeB(nil)
@@ -189,6 +191,17 @@ func HotpathExperiment(skipBig bool) (HotpathReport, error) {
 	if minimal.NumStates() != chain.NumStates() {
 		return rep, fmt.Errorf("hotpath: minimizing a minimal %d-state chain gave %d states",
 			chain.NumStates(), minimal.NumStates())
+	}
+
+	// canonicalize: the constant cache's whole path on the same literal —
+	// determinize, minimize, and back to an NFA without the dead state.
+	var canon *nfa.NFA
+	rep.Rows = append(rep.Rows, hotpathMeasure("canonicalize", 20, func() {
+		canon, _ = nfa.MinimizedB(nil, lit)
+	}))
+	if want := lit.NumStates() + 1; canon.NumStates() != want {
+		return rep, fmt.Errorf("hotpath: canonicalizing a %d-state literal gave %d states, want %d",
+			lit.NumStates(), canon.NumStates(), want)
 	}
 
 	// dfa-membership: byte-at-a-time acceptance on the determinized

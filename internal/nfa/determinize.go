@@ -63,7 +63,11 @@ func (d *DFA) Accepts(w string) bool {
 // Each subset is keyed by its members rather than by a bitset as wide as
 // the machine, and successors are gathered in one reused bitset, so a step
 // costs time in the size of the subsets it touches: a subset of a literal's
-// chain is one state, whatever the length of the literal.
+// chain is one state, whatever the length of the literal. A subset's
+// successors on every atom are gathered in one pass over its members'
+// edges, each edge's target going to the bucket of every atom its label
+// covers, so an atom no edge covers leads to the empty subset without a
+// scan or a probe.
 func DeterminizeB(bud *budget.Budget, m *NFA) (*DFA, error) {
 	atoms := Partition(m.allLabels())
 	next := newSubsetBuffer(m.NumStates())
@@ -86,6 +90,11 @@ func DeterminizeB(bud *budget.Budget, m *NFA) (*DFA, error) {
 		accept = append(accept, final)
 		return id
 	}
+	// Atoms partition every label, so a label covers exactly the atoms it
+	// intersects.
+	covers := map[CharSet][]int{}
+	buckets := make([][]int, len(atoms)) // the targets on each atom
+	empty := -1                          // the empty subset's state, once it has one
 	next.enter(m, m.start)
 	add()
 	for qi := 0; qi < len(sets); qi++ {
@@ -95,21 +104,35 @@ func DeterminizeB(bud *budget.Budget, m *NFA) (*DFA, error) {
 			return nil, err
 		}
 		cur := sets[qi]
-		for ai, atom := range atoms {
-			// All bytes within an atom behave identically, so step on the
-			// atom's minimum representative.
-			rep, ok := atom.Min()
-			if !ok {
-				continue
-			}
-			for i := 0; i < len(cur); i += 4 {
-				for _, e := range m.edges[keyState(cur, i)] {
-					if e.Label.Contains(rep) {
-						next.enter(m, e.To)
+		for i := 0; i < len(cur); i += 4 {
+			for _, e := range m.edges[keyState(cur, i)] {
+				as, ok := covers[e.Label]
+				if !ok {
+					for a, atom := range atoms {
+						if e.Label.Intersects(atom) {
+							as = append(as, a)
+						}
 					}
+					covers[e.Label] = as
+				}
+				for _, a := range as {
+					buckets[a] = append(buckets[a], e.To)
 				}
 			}
-			trans[qi][ai] = add()
+		}
+		for a, targets := range buckets {
+			buckets[a] = targets[:0]
+			if len(targets) == 0 {
+				if empty < 0 {
+					empty = add()
+				}
+				trans[qi][a] = empty
+				continue
+			}
+			for _, t := range targets {
+				next.enter(m, t)
+			}
+			trans[qi][a] = add()
 		}
 	}
 	return newDFA(atoms, trans, accept, 0), nil
@@ -344,21 +367,126 @@ func (p *blocks) split(work []int) []int {
 	return work
 }
 
-// ToNFA converts d back to a (single-start, single-final) NFA, introducing a
-// fresh final state joined by ε-edges from each accepting state.
+// ToNFA converts d back to a (single-start, single-final) NFA over its live
+// states: those reachable from the start that can reach an accepting state.
+// They keep their relative order, and a fresh final state, entered by an
+// ε-edge from each accepting state, comes last. A state's edges to one
+// target become one edge labelled with the union of their atoms, the
+// targets in the order of their first atoms. An empty language gives
+// Empty().
+//
+// A complete DFA has an edge per state and atom, and most of them usually
+// enter the dead state, so the live part is found on d itself and only its
+// edges are written: the minimal DFA of a long literal keeps one of each
+// state's k edges.
 func (d *DFA) ToNFA() *NFA {
-	bl := NewBuilder()
-	bl.AddStates(d.NumStates())
-	f := bl.AddState()
-	for s := 0; s < d.NumStates(); s++ {
-		for ai, t := range d.trans[s] {
-			bl.AddEdge(s, d.atoms[ai], t)
-		}
-		if d.accept[s] {
-			bl.AddEps(s, f)
+	n := d.NumStates()
+	// Forward search. Each distinct edge s → t of a reached state counts
+	// once toward t's in-degree, which sizes the reverse adjacency of the
+	// reached part: pred[at[t]:at[t+1]] are the reached states entering t.
+	mark := make([]int32, n) // mark[t] == s+1 once t is seen on s's row
+	order := make([]int32, 1, n)
+	order[0] = int32(d.start)
+	seen := newStateSet(n)
+	seen.add(d.start)
+	at := make([]int32, n+1)
+	for qi := 0; qi < len(order); qi++ {
+		s := order[qi]
+		for _, t := range d.trans[s] {
+			if mark[t] == s+1 {
+				continue
+			}
+			mark[t] = s + 1
+			at[t+1]++
+			if !seen.contains(t) {
+				seen.add(t)
+				order = append(order, int32(t))
+			}
 		}
 	}
-	return bl.Build(d.start, f).Trim()
+	for i := 1; i <= n; i++ {
+		at[i] += at[i-1]
+	}
+	pred := make([]int32, at[n])
+	for _, s := range order {
+		for _, t := range d.trans[s] {
+			if mark[t] == -(s + 1) {
+				continue
+			}
+			mark[t] = -(s + 1)
+			pred[at[t]] = s
+			at[t]++
+		}
+	}
+	copy(at[1:], at[:n]) // the fill advanced each start to the next one's
+	at[0] = 0
+
+	// Backward search from the reached accepting states.
+	live := newStateSet(n)
+	stack := make([]int32, 0, len(order))
+	for _, s := range order {
+		if d.accept[s] {
+			live.add(int(s))
+			stack = append(stack, s)
+		}
+	}
+	totP := len(stack)
+	for len(stack) > 0 {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range pred[at[t]:at[t+1]] {
+			if !live.contains(int(p)) {
+				live.add(int(p))
+				stack = append(stack, p)
+			}
+		}
+	}
+	if !live.contains(d.start) {
+		return Empty()
+	}
+
+	// Number the live states in order; the distinct edges between them are
+	// the machine's edges.
+	keep := mark
+	nk, totE := 0, 0
+	for t := 0; t < n; t++ {
+		keep[t] = -1
+		if !live.contains(t) {
+			continue
+		}
+		keep[t] = int32(nk)
+		nk++
+		for _, p := range pred[at[t]:at[t+1]] {
+			if live.contains(int(p)) {
+				totE++
+			}
+		}
+	}
+	rows := newFlatRows(nk+1, totE, totP)
+	slot := at // slot[t] is where t's edge sits in flatE, if on the open row
+	for s := 0; s < n; s++ {
+		if keep[s] < 0 {
+			continue
+		}
+		for a, t := range d.trans[s] {
+			to := int(keep[t])
+			if to < 0 {
+				continue
+			}
+			if i := int(slot[t]); i >= rows.rowE && i < len(rows.flatE) && rows.flatE[i].To == to {
+				rows.flatE[i].Label = rows.flatE[i].Label.Union(d.atoms[a])
+				continue
+			}
+			slot[t] = int32(len(rows.flatE))
+			rows.flatE = append(rows.flatE, Edge{Label: d.atoms[a], To: to})
+		}
+		if d.accept[s] {
+			rows.flatP = append(rows.flatP, EpsEdge{To: nk, Tag: NoTag})
+		}
+		rows.endRow()
+	}
+	rows.endRow() // the final state
+	return rows.build(int(keep[d.start]), nk)
 }
 
 // ComplementB returns an NFA for Σ* \ L(m). The determinization it routes

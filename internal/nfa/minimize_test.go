@@ -137,13 +137,30 @@ func crossWords() *NFA {
 	return b.Build(0, 200)
 }
 
+// filterShape has the shape of a match-language filter: a state with a Σ
+// self-loop beside 48 single-byte edges, each the first byte of a word of
+// two more bytes.
+func filterShape() *NFA {
+	b := NewBuilder()
+	loop := b.AddState()
+	final := b.AddState()
+	b.AddEdge(loop, AnyByte(), loop)
+	for i := 0; i < 48; i++ {
+		first, second := b.AddState(), b.AddState()
+		b.AddEdge(loop, Singleton('0'+byte(i)), first)
+		b.AddEdge(first, Singleton('x'+byte(i%2)), second)
+		b.AddEdge(second, Range('x', 'y'), final)
+	}
+	return b.Build(loop, final)
+}
+
 // diffMachines is the input set of the differential tests: 500 seeded
 // random machines from the property and substrate generators, 100 random
-// deterministic machines, crossWords, and literal chains of up to 500 bytes
-// alone, starred, unioned, intersected and concatenated.
+// deterministic machines, crossWords, filterShape, and literal chains of up
+// to 500 bytes alone, starred, unioned, intersected and concatenated.
 func diffMachines() []*NFA {
 	r := rand.New(rand.NewSource(20090615))
-	ms := []*NFA{crossWords()}
+	ms := []*NFA{crossWords(), filterShape()}
 	for i := 0; i < 600; i++ {
 		switch {
 		case i%6 == 5:

@@ -2,6 +2,7 @@ package nfa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -137,11 +138,12 @@ func (b *Builder) Build(start, final int) *NFA {
 	return m
 }
 
-// newNFA is the internal constructor every built machine funnels through:
-// it normalizes the edge lists (see Build) and initializes the shared memo
-// caches, taking ownership of the given slices. Hot paths that can size
-// their rows exactly (Trim, IntersectB) call it directly, skipping the
-// Builder's incremental growth.
+// newNFA is the internal constructor of machines whose rows may need
+// normalizing: it normalizes the edge lists (see Build) and initializes the
+// shared memo caches, taking ownership of the given slices. IntersectB,
+// which can size its rows exactly, calls it directly, skipping the
+// Builder's incremental growth. Every machine's rows are normalized, which
+// is what lets flatRows copy them as they are.
 func newNFA(edges [][]Edge, eps [][]EpsEdge, start, final int) *NFA {
 	for s := range edges {
 		edges[s] = mergeEdges(edges[s])
@@ -151,6 +153,83 @@ func newNFA(edges [][]Edge, eps [][]EpsEdge, start, final int) *NFA {
 	}
 	return &NFA{edges: edges, eps: eps, start: start, final: final,
 		eclo: newEcloCache(len(edges)), seamfree: &seamMemo{}}
+}
+
+// flatRows lays out a machine whose size is known up front. Each state's
+// character edges and ε-edges are appended, in state order, to two exactly
+// sized backing arrays, and endRow closes the state's row as a
+// capacity-capped window of them, so a machine of any size costs a fixed
+// number of allocations. Unlike Build it does not normalize: the caller
+// writes rows that are already merged and deduplicated, as the copy of a
+// built machine's rows under an injective renumbering is.
+type flatRows struct {
+	edges      [][]Edge
+	eps        [][]EpsEdge
+	flatE      []Edge
+	flatP      []EpsEdge
+	rowE, rowP int // where the open row starts in flatE and flatP
+}
+
+func newFlatRows(states, edges, eps int) flatRows {
+	return flatRows{
+		edges: make([][]Edge, 0, states), eps: make([][]EpsEdge, 0, states),
+		flatE: make([]Edge, 0, edges), flatP: make([]EpsEdge, 0, eps),
+	}
+}
+
+// endRow closes the open row. A row without edges stays nil, as the
+// Builder leaves it.
+func (r *flatRows) endRow() {
+	var es []Edge
+	if n := len(r.flatE); n > r.rowE {
+		es = r.flatE[r.rowE:n:n]
+	}
+	var ps []EpsEdge
+	if n := len(r.flatP); n > r.rowP {
+		ps = r.flatP[r.rowP:n:n]
+	}
+	r.edges = append(r.edges, es)
+	r.eps = append(r.eps, ps)
+	r.rowE, r.rowP = len(r.flatE), len(r.flatP)
+}
+
+// appendMachine appends m's rows with every state shifted by off, and the
+// join ε-edges after those of m's final state, dropping any the row already
+// has, as Build would.
+func (r *flatRows) appendMachine(m *NFA, off int, join ...EpsEdge) {
+	for s := range m.edges {
+		for _, e := range m.edges[s] {
+			r.flatE = append(r.flatE, Edge{Label: e.Label, To: off + e.To})
+		}
+		for _, e := range m.eps[s] {
+			r.flatP = append(r.flatP, EpsEdge{To: off + e.To, Tag: e.Tag})
+		}
+		if s == m.final {
+			for _, j := range join {
+				if !slices.Contains(r.flatP[r.rowP:], j) {
+					r.flatP = append(r.flatP, j)
+				}
+			}
+		}
+		r.endRow()
+	}
+}
+
+func (r *flatRows) build(start, final int) *NFA {
+	return &NFA{edges: r.edges, eps: r.eps, start: start, final: final,
+		eclo: newEcloCache(len(r.edges)), seamfree: &seamMemo{}}
+}
+
+// sizes totals the states, character edges and ε-edges of ms.
+func sizes(ms []*NFA) (states, edges, eps int) {
+	for _, m := range ms {
+		states += len(m.edges)
+		for s := range m.edges {
+			edges += len(m.edges[s])
+			eps += len(m.eps[s])
+		}
+	}
+	return states, edges, eps
 }
 
 // mergeEdges unions the labels of parallel edges (same target) in place,

@@ -7,28 +7,10 @@ package nfa
 
 import "math/bits"
 
-// append-copies the states of src into b, returning the state-id offset.
-func appendMachine(b *Builder, src *NFA) int {
-	off := b.AddStates(src.NumStates())
-	for s := 0; s < src.NumStates(); s++ {
-		for _, e := range src.edges[s] {
-			b.AddEdge(off+s, e.Label, off+e.To)
-		}
-		for _, e := range src.eps[s] {
-			if e.Tag == NoTag {
-				b.AddEps(off+s, off+e.To)
-			} else {
-				b.AddTaggedEps(off+s, off+e.To, e.Tag)
-			}
-		}
-	}
-	return off
-}
-
 // Concat returns a machine for L(a)·L(b), joining a's final state to b's
 // start state with a single ordinary ε-transition (paper Fig. 3, line 6).
 func Concat(a, b *NFA) *NFA {
-	return concat(a, b, NoTag)
+	return concatAll([]*NFA{a, b}, NoTag)
 }
 
 // ConcatTagged returns a machine for L(a)·L(b) whose joining ε-transition
@@ -39,85 +21,130 @@ func ConcatTagged(a, b *NFA, tag int) *NFA {
 	if tag < 0 {
 		panic("nfa: ConcatTagged with negative tag")
 	}
-	return concat(a, b, tag)
+	return concatAll([]*NFA{a, b}, tag)
 }
 
-func concat(a, b *NFA, tag int) *NFA {
-	bl := NewBuilder()
-	offA := appendMachine(bl, a)
-	offB := appendMachine(bl, b)
-	if tag == NoTag {
-		bl.AddEps(offA+a.final, offB+b.start)
-	} else {
-		bl.AddTaggedEps(offA+a.final, offB+b.start, tag)
+// ConcatAll returns a machine for L(ms[0])·L(ms[1])·…: the machine the left
+// fold Concat(Concat(ms[0], ms[1]), …) builds, state for state, with each
+// operand copied once rather than once per fold step. ConcatAll() is {ε},
+// and ConcatAll(m) is m.
+func ConcatAll(ms ...*NFA) *NFA {
+	switch len(ms) {
+	case 0:
+		return Epsilon()
+	case 1:
+		return ms[0]
 	}
-	return bl.Build(offA+a.start, offB+b.final)
+	return concatAll(ms, NoTag)
+}
+
+// concatAll lays the operands out in order, joining each final state to the
+// next operand's start with an ε-edge carrying tag.
+func concatAll(ms []*NFA, tag int) *NFA {
+	states, edges, eps := sizes(ms)
+	rows := newFlatRows(states, edges, eps+len(ms)-1)
+	off := 0
+	for i, m := range ms {
+		next := off + m.NumStates()
+		if i+1 < len(ms) {
+			rows.appendMachine(m, off, EpsEdge{To: next + ms[i+1].start, Tag: tag})
+		} else {
+			rows.appendMachine(m, off)
+		}
+		off = next
+	}
+	last := ms[len(ms)-1]
+	return rows.build(ms[0].start, off-last.NumStates()+last.final)
 }
 
 // Union returns a machine for L(a) ∪ L(b).
 func Union(a, b *NFA) *NFA {
-	bl := NewBuilder()
-	s := bl.AddState()
-	f := bl.AddState()
-	offA := appendMachine(bl, a)
-	offB := appendMachine(bl, b)
-	bl.AddEps(s, offA+a.start)
-	bl.AddEps(s, offB+b.start)
-	bl.AddEps(offA+a.final, f)
-	bl.AddEps(offB+b.final, f)
-	return bl.Build(s, f)
+	return UnionAll(a, b)
 }
 
-// UnionAll returns a machine for the union of all given languages.
-// UnionAll() is the empty language.
+// UnionAll returns a machine for the union of all given languages: the
+// machine the left fold Union(Union(ms[0], ms[1]), …) builds, state for
+// state, with each operand copied once. UnionAll() is the empty language,
+// and UnionAll(m) is m.
+//
+// Each fold step puts a fresh start and final state before its left
+// operand, so the k−1 steps' hub pairs come first, outermost first, and
+// the operands follow in order. Step i (1 ≤ i < k) adds ms[i]: its start
+// enters the left operand (step i−1's start, or ms[0]'s) and ms[i]; its
+// final is entered from the left operand's final and ms[i]'s, and enters
+// step i+1's final.
 func UnionAll(ms ...*NFA) *NFA {
-	if len(ms) == 0 {
+	switch len(ms) {
+	case 0:
 		return Empty()
+	case 1:
+		return ms[0]
 	}
-	out := ms[0]
-	for _, m := range ms[1:] {
-		out = Union(out, m)
+	k := len(ms)
+	hub := func(i int) int { return 2 * (k - 1 - i) } // step i's start; its final is hub(i)+1
+	states, edges, eps := sizes(ms)
+	rows := newFlatRows(2*(k-1)+states, edges, eps+2*(k-1)+(k-2)+k)
+	off := make([]int, k)
+	off[0] = 2 * (k - 1)
+	for i := 1; i < k; i++ {
+		off[i] = off[i-1] + ms[i-1].NumStates()
 	}
-	return out
+	for i := k - 1; i >= 1; i-- {
+		left := off[0] + ms[0].start
+		if i > 1 {
+			left = hub(i - 1)
+		}
+		rows.flatP = append(rows.flatP, EpsEdge{To: left, Tag: NoTag}, EpsEdge{To: off[i] + ms[i].start, Tag: NoTag})
+		rows.endRow()
+		if i < k-1 {
+			rows.flatP = append(rows.flatP, EpsEdge{To: hub(i+1) + 1, Tag: NoTag})
+		}
+		rows.endRow()
+	}
+	for i, m := range ms {
+		rows.appendMachine(m, off[i], EpsEdge{To: hub(max(i, 1)) + 1, Tag: NoTag})
+	}
+	return rows.build(0, 1)
 }
 
 // Star returns a machine for L(a)*. The paper's constraint grammar does not
 // allow Kleene star on variables, but constants are arbitrary regular
 // languages, so the regex compiler needs it.
 func Star(a *NFA) *NFA {
-	bl := NewBuilder()
-	s := bl.AddState()
-	f := bl.AddState()
-	off := appendMachine(bl, a)
-	bl.AddEps(s, off+a.start)
-	bl.AddEps(s, f)
-	bl.AddEps(off+a.final, f)
-	bl.AddEps(off+a.final, off+a.start)
-	return bl.Build(s, f)
+	return around(a, true, true)
 }
 
 // Plus returns a machine for L(a)+ = L(a)·L(a)*.
 func Plus(a *NFA) *NFA {
-	bl := NewBuilder()
-	s := bl.AddState()
-	f := bl.AddState()
-	off := appendMachine(bl, a)
-	bl.AddEps(s, off+a.start)
-	bl.AddEps(off+a.final, f)
-	bl.AddEps(off+a.final, off+a.start)
-	return bl.Build(s, f)
+	return around(a, false, true)
 }
 
 // Optional returns a machine for L(a) ∪ {ε}.
 func Optional(a *NFA) *NFA {
-	bl := NewBuilder()
-	s := bl.AddState()
-	f := bl.AddState()
-	off := appendMachine(bl, a)
-	bl.AddEps(s, off+a.start)
-	bl.AddEps(s, f)
-	bl.AddEps(off+a.final, f)
-	return bl.Build(s, f)
+	return around(a, true, false)
+}
+
+// around returns a machine whose fresh start (state 0) and final (state 1)
+// enclose a copy of a: the start enters a, and a's final enters the final.
+// skip adds an ε-edge from the start to the final, and back one from a's
+// final to a's start.
+func around(a *NFA, skip, back bool) *NFA {
+	states, edges, eps := sizes([]*NFA{a})
+	rows := newFlatRows(2+states, edges, eps+4)
+	in := EpsEdge{To: 2 + a.start, Tag: NoTag}
+	out := EpsEdge{To: 1, Tag: NoTag}
+	rows.flatP = append(rows.flatP, in)
+	if skip {
+		rows.flatP = append(rows.flatP, out)
+	}
+	rows.endRow()
+	rows.endRow()
+	if back {
+		rows.appendMachine(a, 2, out, in)
+	} else {
+		rows.appendMachine(a, 2, out)
+	}
+	return rows.build(0, 1)
 }
 
 // Reverse returns a machine for the reversal of L(m).
@@ -367,35 +394,24 @@ func (m *NFA) Trim() *NFA {
 			}
 		}
 	}
-	edges := make([][]Edge, nk)
-	eps := make([][]EpsEdge, nk)
-	flatE := make([]Edge, 0, totE)
-	flatP := make([]EpsEdge, 0, totP)
+	rows := newFlatRows(nk, totE, totP)
 	for s := 0; s < n; s++ {
-		ns := keep[s]
-		if ns < 0 {
+		if keep[s] < 0 {
 			continue
 		}
-		le := len(flatE)
 		for _, e := range m.edges[s] {
 			if keep[e.To] >= 0 {
-				flatE = append(flatE, Edge{Label: e.Label, To: keep[e.To]})
+				rows.flatE = append(rows.flatE, Edge{Label: e.Label, To: keep[e.To]})
 			}
 		}
-		if len(flatE) > le {
-			edges[ns] = flatE[le:len(flatE):len(flatE)]
-		}
-		lp := len(flatP)
 		for _, e := range m.eps[s] {
 			if keep[e.To] >= 0 {
-				flatP = append(flatP, EpsEdge{To: keep[e.To], Tag: e.Tag})
+				rows.flatP = append(rows.flatP, EpsEdge{To: keep[e.To], Tag: e.Tag})
 			}
 		}
-		if len(flatP) > lp {
-			eps[ns] = flatP[lp:len(flatP):len(flatP)]
-		}
+		rows.endRow()
 	}
-	return newNFA(edges, eps, keep[m.start], keep[m.final])
+	return rows.build(keep[m.start], keep[m.final])
 }
 
 // DropSeams returns a machine recognizing m's language over m's states with

@@ -19,15 +19,17 @@ func LeftQuotientB(bud *budget.Budget, a, x *NFA) (*NFA, error) {
 	if err != nil {
 		return nil, err
 	}
-	bl := NewBuilder()
-	s := bl.AddState()
-	off := appendMachine(bl, x)
+	// A fresh start (state 0) enters a copy of x at every entry point.
+	states, edges, eps := sizes([]*NFA{x})
+	rows := newFlatRows(1+states, edges, eps+len(entry))
 	for q, ok := range entry {
 		if ok {
-			bl.AddEps(s, off+q)
+			rows.flatP = append(rows.flatP, EpsEdge{To: 1 + q, Tag: NoTag})
 		}
 	}
-	return bl.Build(s, off+x.final).Trim(), nil
+	rows.endRow()
+	rows.appendMachine(x, 1)
+	return rows.build(0, 1+x.final).Trim(), nil
 }
 
 // RightQuotientB returns XB⁻¹ = { w | ∃b ∈ L(b): wb ∈ L(x) } under a

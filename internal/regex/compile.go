@@ -15,18 +15,41 @@ var ErrPatternTooLarge = errors.New("pattern too large")
 // maxCompiledStates bounds the NFA a single pattern may expand to. Bounded
 // repeats compile by copying ({n} concatenates n copies of the sub-machine),
 // so although the parser caps each individual bound at 1000, nested bounds
-// multiply: a{999}{999} names a million-state machine, and every Concat copy
-// is O(current size), which turns compilation quadratic in that size. User
-// input reaches Compile through the textio and lang front ends, so a hostile
-// pattern must fail fast with a wrapped error instead of hanging.
+// multiply: a{999}{999} names a million-state machine. User input reaches
+// Compile through the textio and lang front ends, so a hostile pattern must
+// fail fast with a wrapped error instead of hanging.
 const maxCompiledStates = 1 << 14
 
-// checkSize enforces maxCompiledStates on a partially built machine.
-func checkSize(m *nfa.NFA) error {
-	if m.NumStates() > maxCompiledStates {
+// checkSize enforces maxCompiledStates on the state count of a partially
+// built machine.
+func checkSize(states int) error {
+	if states > maxCompiledStates {
 		return fmt.Errorf("regex: compiled NFA exceeds %d states (nested bounded repeats multiply): %w",
 			maxCompiledStates, ErrPatternTooLarge)
 	}
+	return nil
+}
+
+// pieces gathers the operands of a concatenation, checking the size of the
+// machine they will make before each is added. The machine starts with ε,
+// as compiled concatenations always have: dropping it would renumber every
+// compiled machine, and with them the solver's output order.
+type pieces struct {
+	ms     []*nfa.NFA
+	states int
+}
+
+func newPieces() *pieces {
+	eps := nfa.Epsilon()
+	return &pieces{ms: []*nfa.NFA{eps}, states: eps.NumStates()}
+}
+
+func (p *pieces) add(m *nfa.NFA) error {
+	p.states += m.NumStates()
+	if err := checkSize(p.states); err != nil {
+		return err
+	}
+	p.ms = append(p.ms, m)
 	return nil
 }
 
@@ -70,13 +93,15 @@ func (r *Regex) MatchLanguage() (*nfa.NFA, error) {
 		if err != nil {
 			return nil, err
 		}
+		var padded []*nfa.NFA
 		if !left {
-			m = nfa.Concat(sigmaStar(), m)
+			padded = append(padded, sigmaStar())
 		}
+		padded = append(padded, m)
 		if !right {
-			m = nfa.Concat(m, sigmaStar())
+			padded = append(padded, sigmaStar())
 		}
-		machines = append(machines, m)
+		machines = append(machines, nfa.ConcatAll(padded...))
 	}
 	return nfa.UnionAll(machines...), nil
 }
@@ -235,7 +260,10 @@ func checkNoAnchors(n node) error {
 }
 
 // compile translates an anchor-free AST into an NFA by Thompson's
-// construction, using the nfa package's combinators.
+// construction, using the nfa package's combinators. A concatenation or an
+// alternation is laid out in one pass over its compiled operands, so it
+// copies each operand once rather than once per fold step. A piece nested
+// in several groups is still copied once per enclosing construct.
 func compile(n node) (*nfa.NFA, error) {
 	switch n := n.(type) {
 	case litNode:
@@ -246,18 +274,17 @@ func compile(n node) (*nfa.NFA, error) {
 		}
 		return nfa.Class(n.set), nil
 	case concatNode:
-		out := nfa.Epsilon()
+		ps := newPieces()
 		for _, p := range n.parts {
 			m, err := compile(p)
 			if err != nil {
 				return nil, err
 			}
-			out = nfa.Concat(out, m)
-			if err := checkSize(out); err != nil {
+			if err := ps.add(m); err != nil {
 				return nil, err
 			}
 		}
-		return out, nil
+		return nfa.ConcatAll(ps.ms...), nil
 	case altNode:
 		var ms []*nfa.NFA
 		for _, b := range n.branches {
@@ -268,7 +295,7 @@ func compile(n node) (*nfa.NFA, error) {
 			ms = append(ms, m)
 		}
 		out := nfa.UnionAll(ms...)
-		if err := checkSize(out); err != nil {
+		if err := checkSize(out.NumStates()); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -281,36 +308,34 @@ func compile(n node) (*nfa.NFA, error) {
 }
 
 func compileRepeat(n repeatNode) (*nfa.NFA, error) {
-	// Concat copies its operands into a fresh machine, so one compiled copy
-	// of the sub-pattern serves every repetition. Each copy is size-checked
-	// before the next Concat, so a nested bound trips ErrPatternTooLarge
-	// after O(cap) work instead of expanding min·|sub| states.
+	// One compiled copy of the sub-pattern serves every repetition, since
+	// ConcatAll copies its operands into a fresh machine. Each copy is
+	// size-checked before it is added, so a nested bound trips
+	// ErrPatternTooLarge after O(cap) work instead of expanding min·|sub|
+	// states.
 	sub, err := compile(n.sub)
 	if err != nil {
 		return nil, err
 	}
+	ps := newPieces()
 	// Required prefix: min copies.
-	out := nfa.Epsilon()
 	for i := 0; i < n.min; i++ {
-		out = nfa.Concat(out, sub)
-		if err := checkSize(out); err != nil {
+		if err := ps.add(sub); err != nil {
 			return nil, err
 		}
 	}
 	switch {
 	case n.max < 0:
-		out = nfa.Concat(out, nfa.Star(sub))
-		if err := checkSize(out); err != nil {
+		if err := ps.add(nfa.Star(sub)); err != nil {
 			return nil, err
 		}
 	case n.max > n.min:
 		opt := nfa.Optional(sub)
 		for i := n.min; i < n.max; i++ {
-			out = nfa.Concat(out, opt)
-			if err := checkSize(out); err != nil {
+			if err := ps.add(opt); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return out, nil
+	return nfa.ConcatAll(ps.ms...), nil
 }

@@ -143,6 +143,11 @@ func AnalyzeProgram(prog *lang.Program, cfgc Config) ([]Finding, AnalysisStats, 
 			} else {
 				return nil, stats, err
 			}
+		} else if usage.Exhausted {
+			// The trip fell in a stage that degrades without an error
+			// (maximalization, minimization, dedup): the verdict stands,
+			// but the path was still cut short.
+			stats.ExhaustedPaths++
 		}
 		if !ok {
 			continue // path infeasible or not exploitable

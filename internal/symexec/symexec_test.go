@@ -6,6 +6,7 @@ import (
 
 	"dprle/internal/cfg"
 	"dprle/internal/core"
+	"dprle/internal/faultinject"
 	"dprle/internal/lang"
 	"dprle/internal/policy"
 )
@@ -492,5 +493,29 @@ query("SELECT name FROM t WHERE id=" . $x);
 	}
 	if len(findings) != 0 {
 		t.Fatalf("quote-stripped sink must be safe: %v", findings)
+	}
+}
+
+// TestEveryTripCountsAsExhausted trips Figure 1's solve at each of its
+// checkpoints in turn. Wherever the trip lands, including the stages that
+// degrade without an error, the path must count in ExhaustedPaths.
+func TestEveryTripCountsAsExhausted(t *testing.T) {
+	_, stats, err := AnalyzeSource("fig1.php", figure1, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.SolveSteps == 0 || stats.ExhaustedPaths != 0 {
+		t.Fatalf("untripped run: %d steps, %d exhausted paths", stats.SolveSteps, stats.ExhaustedPaths)
+	}
+	for n := int64(1); n <= stats.SolveSteps; n++ {
+		disarm := faultinject.Arm(faultinject.Checkpoint, n)
+		_, tripped, err := AnalyzeSource("fig1.php", figure1, DefaultConfig())
+		disarm()
+		if err != nil {
+			t.Fatalf("trip at checkpoint %d: %v", n, err)
+		}
+		if tripped.ExhaustedPaths != 1 {
+			t.Errorf("trip at checkpoint %d of %d: %d exhausted paths, want 1", n, stats.SolveSteps, tripped.ExhaustedPaths)
+		}
 	}
 }

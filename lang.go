@@ -104,19 +104,20 @@ func EmptyLang() Lang { return wrap(nfa.Empty()) }
 // sketches in §3.1.2. A negative max means unbounded.
 func LengthBetween(min, max int) Lang {
 	any := nfa.Class(nfa.AnyByte())
-	out := nfa.Epsilon()
+	ms := []*nfa.NFA{nfa.Epsilon()}
 	for i := 0; i < min; i++ {
-		out = nfa.Concat(out, any)
+		ms = append(ms, any)
 	}
 	switch {
 	case max < 0:
-		out = nfa.Concat(out, nfa.Star(any))
-	default:
+		ms = append(ms, nfa.Star(any))
+	case max > min:
+		opt := nfa.Optional(any)
 		for i := min; i < max; i++ {
-			out = nfa.Concat(out, nfa.Optional(any))
+			ms = append(ms, opt)
 		}
 	}
-	return wrap(out)
+	return wrap(nfa.ConcatAll(ms...))
 }
 
 // Accepts reports whether w belongs to the language.

@@ -167,11 +167,12 @@ func TestWriteCorpusAppErrors(t *testing.T) {
 }
 
 // TestExhaustedRetriesEscalate drives the retry-with-bigger-budget path:
-// fig1 needs between 100 and 200 solver states, so a 50-state cap trips on
-// the first attempt and succeeds on the escalated (4x = 200) second one.
+// fig1's solve finds its witness within about 200 solver states and
+// completes within about 350, so a 100-state cap trips on the first
+// attempt and the escalated (4x = 400) second one completes.
 func TestExhaustedRetriesEscalate(t *testing.T) {
 	// Without retries the cap kills the path.
-	rep, err := AnalyzeSource("fig1.php", fig1, WithSolverLimits(50, 0))
+	rep, err := AnalyzeSource("fig1.php", fig1, WithSolverLimits(100, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestExhaustedRetriesEscalate(t *testing.T) {
 	}
 
 	// One escalating retry quadruples the cap and the exploit is found.
-	rep, err = AnalyzeSource("fig1.php", fig1, WithSolverLimits(50, 0), WithExhaustedRetries(1))
+	rep, err = AnalyzeSource("fig1.php", fig1, WithSolverLimits(100, 0), WithExhaustedRetries(1))
 	if err != nil {
 		t.Fatal(err)
 	}
