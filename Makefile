@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race chaos lint lint-stats fix fmt cover bench bench-cache bench-hotpath bench-lint
+.PHONY: all build test race chaos lint lint-stats fix fmt cover bench bench-hotpath
 
 all: build lint test
 
@@ -37,12 +37,6 @@ lint:
 lint-stats:
 	timeout 120 $(GO) run ./cmd/dprlelint -stats ./...
 
-# Lint experiment: the full suite over the module plus the strlang fixture
-# drill, with per-analyzer wall time and the solver-call/cache-hit/widening
-# counters, written to BENCH_lint.json (the `lint` CI job's smoke step).
-bench-lint:
-	timeout 180 $(GO) run ./cmd/benchtab -table lint
-
 # Apply dprlelint's suggested fixes (sorted-map-iteration rewrites).
 fix:
 	$(GO) run ./cmd/dprlelint -fix ./...
@@ -54,16 +48,10 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
+# Every root benchmark (bench_test.go, cache_corpus_test.go), one iteration
+# each, so they stay runnable (the `test` CI job's benchmark step).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-
-# Cache smoke: corpus-wide cached≡uncached equivalence (witnesses verified),
-# the warm-path counter gates (a warm pass is answered from the cache alone:
-# exact hits, no misses, puts or states), and the cold/warm benchmarks, one
-# iteration each (the `bench-cache` CI job). Fails on any cache-correctness
-# or counter assertion.
-bench-cache:
-	$(GO) test -bench='BenchmarkCache' -benchtime=1x -run 'TestCacheCorpus' -v .
 
 # Hot-path substrate experiment (DESIGN.md §11): steady-state wall time and
 # allocations for the seven NFA hot-path workloads, read against the frozen

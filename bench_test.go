@@ -16,8 +16,12 @@
 //	BenchmarkAblation/*       — solver options: maximalization, constant
 //	                            canonicalization, intermediate minimization
 //	BenchmarkNFA*             — substrate micro-benchmarks
+//	BenchmarkCacheCold/Warm   — the Figure 12 corpus solved without and
+//	                            against a filled solve cache
+//	                            (cache_corpus_test.go)
 //
-// Regenerate the paper's tables directly with:
+// `make bench` runs each of them once. Regenerate the paper's tables
+// directly with:
 //
 //	go run ./cmd/benchtab -table all
 //	go run ./cmd/benchtab -table fig12 -full   # includes warp/secure
@@ -109,7 +113,7 @@ func BenchmarkFig12(b *testing.B) {
 			}
 			var lastRow experiments.Fig12Row
 			for i := 0; i < b.N; i++ {
-				row, err := experiments.RunDefect(d, core.Options{})
+				row, err := experiments.RunDefect(d, core.Options{}, 0, 0, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -210,21 +214,12 @@ func BenchmarkAblation(b *testing.B) {
 	if !ok {
 		b.Fatal("defect missing")
 	}
-	configs := []struct {
-		name string
-		opts core.Options
-	}{
-		{"baseline", core.Options{}},
-		{"no-maximalize", core.Options{NoMaximalize: true}},
-		{"raw-constants", core.Options{RawConstants: true}},
-		{"minimize-intermediates", core.Options{Minimize: true}},
-	}
-	for _, cfg := range configs {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
+	for _, v := range experiments.AblationVariants() {
+		v := v
+		b.Run(v.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				row, err := experiments.RunDefect(d, cfg.opts)
+				row, err := experiments.RunDefect(d, v.Opts, 0, 0, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

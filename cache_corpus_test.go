@@ -3,9 +3,9 @@ package dprle_test
 // Corpus-wide acceptance tests for the solve cache: answers served from the
 // cache must be indistinguishable from fresh solves on the whole Figure 12
 // corpus (witnesses verified against the constraint checker), and the warm
-// path must skip the solver work the cache exists to save. `make
-// bench-cache` runs these with -benchtime=1x as the CI smoke job: the
-// benchmarks measure, the tests gate.
+// path must skip the solver work the cache exists to save. The tests gate
+// on counters; BenchmarkCacheCold/Warm measure the time (`make bench` runs
+// them once each).
 
 import (
 	"testing"
@@ -114,11 +114,11 @@ func TestCacheCorpusEquivalence(t *testing.T) {
 
 // TestCacheCorpusSpeedup gates the warm path on counters that repeat
 // exactly rather than on a wall-clock ratio: the cold corpus pass builds
-// 17163 NFA states in 1088 solver checkpoints, and after one fill pass a
-// pass over freshly rebuilt systems is answered from the cache alone — 852
-// hits, no new misses or puts, and no state materialized. That avoided work
-// is where the warm speedup comes from; `benchtab -table cache` reports the
-// speedup itself.
+// 17163 NFA states in 1088 solver checkpoints, the fill pass stores each
+// of its 47 misses, and a pass over freshly rebuilt systems is then
+// answered from the cache alone — 852 hits, no new misses or puts, and no
+// state materialized. That avoided work is where the warm speedup comes
+// from; BenchmarkCacheCold/Warm measure the speedup itself.
 func TestCacheCorpusSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves the corpus several times")
@@ -140,6 +140,9 @@ func TestCacheCorpusSpeedup(t *testing.T) {
 	cache := solvecache.New(solvecache.Config{})
 	warm := core.Options{Cache: cache}
 	pass(warm)
+	if fill := cache.Stats(); fill.Misses != 47 || fill.Puts != 47 {
+		t.Errorf("fill pass: %d misses, %d puts; want 47, 47", fill.Misses, fill.Puts)
+	}
 	before := cache.Stats()
 	states, _ := pass(warm)
 	after := cache.Stats()
@@ -147,18 +150,6 @@ func TestCacheCorpusSpeedup(t *testing.T) {
 	if hits != 852 || misses != 0 || puts != 0 || states != 0 {
 		t.Errorf("warm pass: %d hits, %d misses, %d puts, %d states; want 852, 0, 0, 0",
 			hits, misses, puts, states)
-	}
-
-	rep, err := experiments.CacheExperiment(core.Options{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Cache.Hits == 0 || rep.Cache.Puts == 0 {
-		t.Fatalf("experiment ran without cache traffic: %+v", rep.Cache)
-	}
-	if rep.FlightSolves != 1 || rep.FlightShared != rep.FlightCalls-1 {
-		t.Fatalf("collapsing demo executed %d, shared %d of %d",
-			rep.FlightSolves, rep.FlightShared, rep.FlightCalls)
 	}
 }
 

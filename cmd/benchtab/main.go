@@ -16,12 +16,6 @@
 //	benchtab -table complexity   the §3.5 complexity sweeps
 //	benchtab -table ablation     the solver-option ablation on utopia/styles,
 //	                             and with -full on warp/secure too
-//	benchtab -table cache        the solve-cache cold/warm experiment on the
-//	                             fig12 corpus; also writes the report as JSON
-//	                             to -cache-json (default BENCH_cache.json)
-//	benchtab -table lint         the dprlelint suite over the module plus the
-//	                             strlang fixture drill; also writes the report
-//	                             as JSON to -lint-json (default BENCH_lint.json)
 //	benchtab -table hotpath      the NFA hot-path workloads (product chains,
 //	                             induce loop, determinize, minimize, DFA
 //	                             membership, corpus solve) with wall time and
@@ -42,9 +36,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
-	"dprle/internal/core"
 	"dprle/internal/experiments"
 )
 
@@ -56,21 +48,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		table     = fs.String("table", "all", "fig11, fig12, complexity, ablation, cache, lint, hotpath, or all")
-		full      = fs.Bool("full", false, "include the warp/secure large-constant case in fig12 and ablation")
-		minimize  = fs.Bool("minimize", false, "solve with intermediate-machine minimization (ablation)")
-		timeout   = fs.Duration("timeout", 0, "per-path solve deadline for fig12; exhausted paths are recorded, not fatal (0 = none)")
-		maxStates = fs.Int64("max-states", 0, "per-path cap on NFA states materialized (0 = unlimited)")
-		maxSteps  = fs.Int64("max-steps", 0, "per-path cap on solver checkpoints (0 = unlimited)")
-		cacheJSON = fs.String("cache-json", "BENCH_cache.json", "write the -table cache report to this file as JSON (empty = don't)")
-		lintJSON  = fs.String("lint-json", "BENCH_lint.json", "write the -table lint report to this file as JSON (empty = don't)")
-		hotJSON   = fs.String("hotpath-json", "BENCH_hotpath.json", "write the -table hotpath report to this file as JSON (empty = don't)")
-		hotBase   = fs.String("hotpath-baseline", "BENCH_hotpath.json", "read the frozen hotpath baseline from this file (empty = none)")
+		table   = fs.String("table", "all", "fig11, fig12, complexity, ablation, hotpath, or all")
+		full    = fs.Bool("full", false, "include the warp/secure large-constant case in fig12 and ablation")
+		timeout = fs.Duration("timeout", 0, "per-path solve deadline for fig12; exhausted paths are recorded, not fatal (0 = none)")
+		hotJSON = fs.String("hotpath-json", "BENCH_hotpath.json", "write the -table hotpath report to this file as JSON (empty = don't)")
+		hotBase = fs.String("hotpath-baseline", "BENCH_hotpath.json", "read the frozen hotpath baseline from this file (empty = none)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	opts := core.Options{Minimize: *minimize}
 
 	runFig11 := func() int {
 		rows, err := experiments.Figure11()
@@ -82,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	runFig12 := func() int {
-		rows, err := experiments.Figure12Budget(opts, !*full, *timeout, *maxStates, *maxSteps)
+		rows, err := experiments.Figure12(!*full, *timeout)
 		if err != nil {
 			fmt.Fprintf(stderr, "benchtab: %v\n", err)
 			return 2
@@ -110,53 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 2
 			}
 			fmt.Fprintln(stdout, experiments.FormatAblation(defect, rows))
-		}
-		return 0
-	}
-	runCache := func() int {
-		rep, err := experiments.CacheExperiment(opts, !*full)
-		if err != nil {
-			fmt.Fprintf(stderr, "benchtab: %v\n", err)
-			return 2
-		}
-		fmt.Fprintln(stdout, experiments.FormatCache(rep))
-		if *cacheJSON != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				fmt.Fprintf(stderr, "benchtab: %v\n", err)
-				return 2
-			}
-			if err := os.WriteFile(*cacheJSON, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintf(stderr, "benchtab: %v\n", err)
-				return 2
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", *cacheJSON)
-		}
-		return 0
-	}
-	runLint := func() int {
-		root, err := findModuleRoot()
-		if err != nil {
-			fmt.Fprintf(stderr, "benchtab: %v\n", err)
-			return 2
-		}
-		rep, err := experiments.LintExperiment(root)
-		if err != nil {
-			fmt.Fprintf(stderr, "benchtab: %v\n", err)
-			return 2
-		}
-		fmt.Fprintln(stdout, experiments.FormatLint(rep))
-		if *lintJSON != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				fmt.Fprintf(stderr, "benchtab: %v\n", err)
-				return 2
-			}
-			if err := os.WriteFile(*lintJSON, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintf(stderr, "benchtab: %v\n", err)
-				return 2
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", *lintJSON)
 		}
 		return 0
 	}
@@ -202,10 +141,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runComplexity()
 	case "ablation":
 		return runAblation()
-	case "cache":
-		return runCache()
-	case "lint":
-		return runLint()
 	case "hotpath":
 		return runHotpath()
 	case "all":
@@ -218,12 +153,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if rc := runAblation(); rc != 0 {
 			return rc
 		}
-		if rc := runCache(); rc != 0 {
-			return rc
-		}
-		if rc := runLint(); rc != 0 {
-			return rc
-		}
 		if rc := runHotpath(); rc != 0 {
 			return rc
 		}
@@ -233,10 +162,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 2
 }
 
-// loadHotpathBaseline reads the frozen hot-path baseline from path: either
-// a full BENCH_hotpath.json (whose baseline section, or failing that its
-// current section, is the baseline) or a bare report. A missing or
-// unparseable file just means "no baseline" — the experiment still runs.
+// loadHotpathBaseline reads the frozen hot-path baseline from the baseline
+// section of a BENCH_hotpath.json at path. A missing or unparseable file,
+// or one without a baseline, just means "no baseline" — the experiment
+// still runs.
 func loadHotpathBaseline(path string) *experiments.HotpathReport {
 	if path == "" {
 		return nil
@@ -246,36 +175,8 @@ func loadHotpathBaseline(path string) *experiments.HotpathReport {
 		return nil
 	}
 	var f experiments.HotpathFile
-	if err := json.Unmarshal(data, &f); err == nil {
-		if f.Baseline != nil && len(f.Baseline.Rows) > 0 {
-			return f.Baseline
-		}
-		if len(f.Current.Rows) > 0 {
-			return &f.Current
-		}
+	if err := json.Unmarshal(data, &f); err != nil || f.Baseline == nil || len(f.Baseline.Rows) == 0 {
+		return nil
 	}
-	var r experiments.HotpathReport
-	if err := json.Unmarshal(data, &r); err == nil && len(r.Rows) > 0 {
-		return &r
-	}
-	return nil
-}
-
-// findModuleRoot walks up from the working directory to the enclosing
-// go.mod, the root the lint experiment loads packages from.
-func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		dir = parent
-	}
+	return f.Baseline
 }

@@ -1,13 +1,8 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"dprle/internal/experiments"
 )
 
 func TestFig11Table(t *testing.T) {
@@ -54,76 +49,6 @@ func TestBadFlag(t *testing.T) {
 	var out, errb strings.Builder
 	if rc := run([]string{"-nope"}, &out, &errb); rc != 2 {
 		t.Fatalf("rc = %d", rc)
-	}
-}
-
-func TestCacheTableWritesJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("solves the corpus several times")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_cache.json")
-	var out, errb strings.Builder
-	if rc := run([]string{"-table", "cache", "-cache-json", path}, &out, &errb); rc != 0 {
-		t.Fatalf("rc = %d, stderr %q", rc, errb.String())
-	}
-	if !strings.Contains(out.String(), "speedup") || !strings.Contains(out.String(), "collapsing") {
-		t.Fatalf("output = %q", out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep experiments.CacheReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("BENCH_cache.json does not parse: %v", err)
-	}
-	if rep.Systems == 0 || rep.ColdNS == 0 || rep.WarmNS == 0 {
-		t.Fatalf("report missing measurements: %+v", rep)
-	}
-	if rep.Cache.Hits == 0 || rep.Cache.Misses == 0 {
-		t.Fatalf("report missing cache counters: %+v", rep)
-	}
-	if rep.FlightSolves != 1 || rep.FlightShared != rep.FlightCalls-1 {
-		t.Fatalf("collapsing demo executed %d, shared %d of %d",
-			rep.FlightSolves, rep.FlightShared, rep.FlightCalls)
-	}
-}
-
-func TestLintTableWritesJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("analyzes every module package plus the strlang fixtures")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_lint.json")
-	var out, errb strings.Builder
-	if rc := run([]string{"-table", "lint", "-lint-json", path}, &out, &errb); rc != 0 {
-		t.Fatalf("rc = %d, stderr %q", rc, errb.String())
-	}
-	if !strings.Contains(out.String(), "strlang") || !strings.Contains(out.String(), "solver calls") {
-		t.Fatalf("output = %q", out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep experiments.LintReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("BENCH_lint.json does not parse: %v", err)
-	}
-	if rep.RepoFindings != 0 {
-		t.Fatalf("repo is not lint-clean: %d findings", rep.RepoFindings)
-	}
-	if rep.Packages < 10 || rep.FixturePackages < 5 {
-		t.Fatalf("suspiciously small scope: %+v", rep)
-	}
-	if rep.FixtureFindings == 0 {
-		t.Fatal("the seeded fixture defects were not flagged")
-	}
-	if rep.Discharged == 0 || rep.Discharged != rep.SolverCalls+rep.CacheHits {
-		t.Fatalf("discharge accounting broken: %d discharged, %d solver calls + %d cache hits",
-			rep.Discharged, rep.SolverCalls, rep.CacheHits)
-	}
-	if rep.Widenings == 0 {
-		t.Fatal("the loop fixtures did not exercise widening")
 	}
 }
 

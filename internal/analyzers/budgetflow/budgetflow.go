@@ -53,9 +53,9 @@ argument is the literal nil: a nil *budget.Budget is inert by contract
 C1 — inside a function with access to a *budget.Budget (a budget
 parameter, or a method whose receiver carries a budget field), a go
 statement must reference the budget (directly, or through a value that
-carries a budget field, such as the solver structs). The solver fans out
-per CI-group; a worker that does not see the budget performs unbounded,
-uncancellable automaton constructions.
+carries a budget field, such as the solver structs). A worker that does
+not see the budget performs unbounded, uncancellable automaton
+constructions.
 
 C2 — a function that takes a context.Context must not call
 context.Background() or context.TODO(): doing so disconnects the work it

@@ -7,9 +7,9 @@
 // into the inner loops of internal/nfa. The expensive constructions call
 // AddStates per materialized state; solver loop heads call Check. Both are
 // cheap (an atomic add, with the context polled on an amortized schedule),
-// safe for concurrent use by the parallel CI-group solvers, and sticky:
-// once any caller trips the budget, every subsequent probe returns the same
-// *Exhausted immediately, so deep call stacks unwind fast.
+// safe for concurrent use, and sticky: once any caller trips the budget,
+// every subsequent probe returns the same *Exhausted immediately, so deep
+// call stacks unwind fast.
 //
 // A nil *Budget is valid everywhere and means "unlimited": all probes
 // return nil and Usage is zero. Each construction has one budgeted form,

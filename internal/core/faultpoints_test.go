@@ -73,14 +73,14 @@ func TestDecideCtxPrecancelledFastPath(t *testing.T) {
 // Injected error, and any returned assignments must still satisfy the
 // system.
 func TestFaultInjectionGCIPop(t *testing.T) {
-	if _, err := SolveCtx(context.Background(), smallGroupSystem(), Options{Sequential: true}); err != nil {
+	if _, err := SolveCtx(context.Background(), smallGroupSystem(), Options{}); err != nil {
 		t.Fatalf("baseline solve failed: %v", err)
 	}
 	tripped := 0
 	for n := int64(1); n <= 4; n++ {
 		disarm := faultinject.Arm(faultinject.GCIPop, n)
 		sys := smallGroupSystem()
-		res, err := SolveCtx(context.Background(), sys, Options{Sequential: true})
+		res, err := SolveCtx(context.Background(), sys, Options{})
 		disarm()
 		if res == nil {
 			t.Fatalf("n=%d: nil result", n)
@@ -116,7 +116,7 @@ func TestFaultInjectionGCIPop(t *testing.T) {
 func TestFaultInjectionGroupProduct(t *testing.T) {
 	disarm := faultinject.Arm(faultinject.GroupProduct, 1)
 	sys := smallGroupSystem()
-	res, err := SolveCtx(context.Background(), sys, Options{Sequential: true})
+	res, err := SolveCtx(context.Background(), sys, Options{})
 	disarm()
 	var ex *budget.Exhausted
 	if !errors.As(err, &ex) {
@@ -138,7 +138,7 @@ func TestFaultInjectionGroupProduct(t *testing.T) {
 func TestFaultInjectionGroupProductPartial(t *testing.T) {
 	disarm := faultinject.Arm(faultinject.GroupProduct, 1)
 	sys := smallGroupSystem()
-	res, err := SolveForCtx(context.Background(), sys, []string{"v1"}, Options{Sequential: true})
+	res, err := SolveForCtx(context.Background(), sys, []string{"v1"}, Options{})
 	disarm()
 	var ex *budget.Exhausted
 	if !errors.As(err, &ex) {
@@ -154,8 +154,8 @@ func TestFaultInjectionGroupProductPartial(t *testing.T) {
 
 // TestFaultInjectionCrashPanics proves the Crash point turns a budget
 // checkpoint into a panic (the chaos harness's simulated invariant
-// violation) and that nothing below core's public entry catches it for a
-// sequential solve — the serving layer's recover boundary is what must
+// violation) and that nothing below core's public entry catches it — the
+// recover boundaries of the dprle API and the serving layer are what must
 // contain it.
 func TestFaultInjectionCrashPanics(t *testing.T) {
 	disarm := faultinject.Arm(faultinject.Crash, 1)
@@ -165,5 +165,5 @@ func TestFaultInjectionCrashPanics(t *testing.T) {
 			t.Fatal("injected crash did not propagate out of SolveCtx")
 		}
 	}()
-	_, _ = SolveCtx(context.Background(), smallGroupSystem(), Options{Sequential: true})
+	_, _ = SolveCtx(context.Background(), smallGroupSystem(), Options{})
 }

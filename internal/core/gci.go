@@ -63,9 +63,8 @@ type gciSolver struct {
 // constant as emptiness against its complement. A constant minimized in
 // this solve keeps its minimal DFA, whose complement is the same machine
 // with its accepting states flipped, so the constant is determinized once
-// per cache: once per solve, plus once in each CI-group solved concurrently
-// on its own cache. The memo lives here rather than on the shared machine,
-// so a solve's Usage does not depend on which solve complemented it first.
+// per solve. The memo lives here rather than on the shared machine, so a
+// solve's Usage does not depend on which solve complemented it first.
 type constCache struct {
 	raw    bool
 	bud    *budget.Budget

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sort"
-	"sync"
 
 	"dprle/internal/budget"
 	"dprle/internal/faultinject"
@@ -35,8 +33,6 @@ type Options struct {
 	// makes the number of seam edges — and hence the disjunct granularity —
 	// match the paper's hand-drawn minimal machines.
 	RawConstants bool
-	// Sequential disables the concurrent solving of independent CI-groups.
-	Sequential bool
 	// NoMaximalize skips the final quotient-based maximalization fixpoint.
 	// The returned assignments still satisfy the system and jointly cover
 	// all solutions, but individual disjuncts may be extendable (their
@@ -306,20 +302,15 @@ func solveBudget(s *System, want varSet, opts Options, bud *budget.Budget) (*Res
 		}
 	}
 
-	// Stage 2: eliminate each CI-group with gci. Groups are independent (no
-	// shared variables or temps by construction), so they are solved
-	// concurrently when there is more than one. The budget is shared across
-	// goroutines (its counters are atomic), so a trip in one group promptly
-	// stops the others at their next checkpoint.
+	// Stage 2: eliminate each CI-group with gci, one after another on the
+	// solve's one constant cache. A group whose canonical key was solved
+	// before — in any earlier system, under any variable names — is
+	// answered in hash time with its stored post-maximalized disjuncts.
 	perGroup := make([][]map[int]*nfa.NFA, len(groups))
 	groupTrunc := make([]bool, len(groups))
 	groupErrs := make([]error, len(groups))
-	// Cache lookup pass: a group whose canonical key was solved before —
-	// in any earlier system, under any variable names — is answered in
-	// hash time with its stored post-maximalized disjuncts.
 	groupKeys := make([]string, len(groups))
 	cachedGroup := make([]bool, len(groups))
-	uncached := 0
 	for i, group := range groups {
 		if opts.Cache != nil {
 			groupKeys[i] = componentKey(g, group, opts)
@@ -328,57 +319,16 @@ func solveBudget(s *System, want varSet, opts Options, bud *budget.Budget) (*Res
 				continue
 			}
 		}
-		uncached++
-	}
-	if uncached <= 1 || opts.Sequential {
-		for i, group := range groups {
-			if cachedGroup[i] {
-				continue
-			}
-			solver := &gciSolver{g: g, opts: opts, canon: canon, bud: bud, varLang: map[int]*nfa.NFA{}, built: map[int]*nfa.NFA{}}
-			perGroup[i], groupTrunc[i], groupErrs[i] = solver.solveGroupTrunc(group)
+		solver := &gciSolver{g: g, opts: opts, canon: canon, bud: bud, varLang: map[int]*nfa.NFA{}, built: map[int]*nfa.NFA{}}
+		perGroup[i], groupTrunc[i], groupErrs[i] = solver.solveGroupTrunc(group)
+		// Structural and internal errors (anything that is not a budget
+		// trip) abort the solve outright.
+		var ex *budget.Exhausted
+		if err := groupErrs[i]; err != nil && !errors.As(err, &ex) {
+			return nil, err
 		}
-	} else {
-		var wg sync.WaitGroup
-		for i, group := range groups {
-			if cachedGroup[i] {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, group []int) {
-				defer wg.Done()
-				// A panic inside a goroutine would kill the process rather
-				// than unwind to the API boundary, so convert it to an error
-				// here. perGroup[i] stays nil: no partially-built state from
-				// the panicked group can leak into the result.
-				defer func() {
-					if r := recover(); r != nil {
-						perGroup[i] = nil
-						groupErrs[i] = fmt.Errorf("core: internal panic in CI-group solver: %v\n%s", r, debug.Stack())
-					}
-				}()
-				// Each goroutine gets its own solver state and constant
-				// cache: the shared canon map is not synchronized.
-				solver := &gciSolver{
-					g: g, opts: opts, canon: newConstCache(opts, bud), bud: bud,
-					varLang: map[int]*nfa.NFA{}, built: map[int]*nfa.NFA{},
-				}
-				perGroup[i], groupTrunc[i], groupErrs[i] = solver.solveGroupTrunc(group)
-			}(i, group)
-		}
-		wg.Wait()
 	}
 
-	// Structural and internal errors (anything that is not a budget trip)
-	// abort the solve outright.
-	for i := range groups {
-		if err := groupErrs[i]; err != nil {
-			var ex *budget.Exhausted
-			if !errors.As(err, &ex) {
-				return nil, err
-			}
-		}
-	}
 	// Genuine unsat wins over exhaustion elsewhere: a group that completed
 	// with zero disjuncts proves the whole system has no all-nonempty
 	// assignment, regardless of what the budget did to other groups. The

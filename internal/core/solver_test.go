@@ -570,32 +570,33 @@ func TestDoublyConstrainedConcat(t *testing.T) {
 	}
 }
 
-func TestSequentialOptionMatchesParallel(t *testing.T) {
-	mk := func() *System {
-		s := NewSystem()
-		for _, grp := range []string{"A", "B", "C"} {
-			c1 := s.MustConst("c1"+grp, regex.MustCompile("x(yy)+"))
-			c2 := s.MustConst("c2"+grp, regex.MustCompile("(yy)*z"))
-			c3 := s.MustConst("c3"+grp, regex.MustCompile("xyyz|xyyyyz"))
-			s.MustAdd(Var{"p" + grp}, c1)
-			s.MustAdd(Var{"q" + grp}, c2)
-			s.MustAdd(Cat{Left: Var{"p" + grp}, Right: Var{"q" + grp}}, c3)
+// TestIndependentGroupsMultiply pins the Cartesian product across
+// CI-groups: three independent groups of two disjuncts each give 2³
+// assignments.
+func TestIndependentGroupsMultiply(t *testing.T) {
+	s := NewSystem()
+	for _, grp := range []string{"A", "B", "C"} {
+		c1 := s.MustConst("c1"+grp, regex.MustCompile("x(yy)+"))
+		c2 := s.MustConst("c2"+grp, regex.MustCompile("(yy)*z"))
+		c3 := s.MustConst("c3"+grp, regex.MustCompile("xyyz|xyyyyz"))
+		s.MustAdd(Var{"p" + grp}, c1)
+		s.MustAdd(Var{"q" + grp}, c2)
+		s.MustAdd(Cat{Left: Var{"p" + grp}, Right: Var{"q" + grp}}, c3)
+	}
+	if n := len(BuildGraph(s).CIGroups()); n != 3 {
+		t.Fatalf("CI-groups = %d, want 3", n)
+	}
+	res, err := Solve(s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Assignments) != 8 {
+		t.Fatalf("assignments = %d, want 8", len(res.Assignments))
+	}
+	for i, a := range res.Assignments {
+		if !Satisfies(s, a) {
+			t.Fatalf("assignment %d does not satisfy the system", i)
 		}
-		return s
-	}
-	par, err := Solve(mk(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Solve(mk(), Options{Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par.Assignments) != len(seq.Assignments) {
-		t.Fatalf("parallel %d vs sequential %d assignments", len(par.Assignments), len(seq.Assignments))
-	}
-	if len(par.Assignments) != 8 { // 2^3 group combinations
-		t.Fatalf("assignments = %d, want 8", len(par.Assignments))
 	}
 }
 

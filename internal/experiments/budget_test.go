@@ -27,7 +27,7 @@ func TestSecureRawConstantsUnderBudget(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	start := time.Now()
-	row, err := RunDefectBudget(d, core.Options{RawConstants: true}, 250*time.Millisecond, 0, 0)
+	row, err := RunDefect(d, core.Options{RawConstants: true}, 250*time.Millisecond, 0, 0)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("budgeted run failed outright: %v", err)
@@ -61,11 +61,11 @@ func TestOrdinaryDefectUnaffectedByBudget(t *testing.T) {
 	if !ok {
 		t.Fatal("utopia/styles defect missing from the corpus")
 	}
-	plain, err := RunDefect(d, core.Options{})
+	plain, err := RunDefect(d, core.Options{}, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted, err := RunDefectBudget(d, core.Options{}, 30*time.Second, 1<<30, 1<<30)
+	budgeted, err := RunDefect(d, core.Options{}, 30*time.Second, 1<<30, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSecureVerdictCounters(t *testing.T) {
 	}
 	const states, steps = 44942, 123
 	d, _ := corpus.DefectByName("warp/secure")
-	row, err := RunDefectBudget(d, core.Options{}, 0, 0, 4*steps)
+	row, err := RunDefect(d, core.Options{}, 0, 0, 4*steps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,17 +79,11 @@ type Fig12Row struct {
 // RunDefect analyzes one defect end to end and reports the measured Figure
 // 12 metrics. The solve time covers constraint solving (system construction
 // plus Solve), matching the paper's TS ("total time spent solving
-// constraints").
-func RunDefect(d corpus.Defect, opts core.Options) (Fig12Row, error) {
-	return RunDefectBudget(d, opts, 0, 0, 0)
-}
-
-// RunDefectBudget is RunDefect with per-path solver budgets: a wall-clock
-// deadline per path plus state/step caps (0 = unlimited). Budget-exhausted
-// paths are recorded in the row's ExhaustedPaths instead of failing the
-// run, which makes the pathological warp/secure row measurable under a
-// small deadline.
-func RunDefectBudget(d corpus.Defect, opts core.Options, pathTimeout time.Duration, maxStates, maxSteps int64) (Fig12Row, error) {
+// constraints"). Each path's solve gets a wall-clock deadline and
+// state/step caps (0 = unlimited). Budget-exhausted paths are recorded in
+// the row's ExhaustedPaths instead of failing the run, which makes the
+// pathological warp/secure row measurable under a small deadline.
+func RunDefect(d corpus.Defect, opts core.Options, pathTimeout time.Duration, maxStates, maxSteps int64) (Fig12Row, error) {
 	src, err := corpus.Source(d)
 	if err != nil {
 		return Fig12Row{}, err
@@ -119,24 +113,19 @@ func RunDefectBudget(d corpus.Defect, opts core.Options, pathTimeout time.Durati
 	return row, nil
 }
 
-// Figure12 runs every defect. When skipBig is set the warp/secure
-// large-constant case (the paper's 577 s row) is skipped; pass false to
-// measure it too.
-func Figure12(opts core.Options, skipBig bool) ([]Fig12Row, error) {
-	return Figure12Budget(opts, skipBig, 0, 0, 0)
-}
-
-// Figure12Budget is Figure12 under per-path solver budgets (see
-// RunDefectBudget). With a deadline set, a row whose solve outlives it
+// Figure12 runs every defect with the default solver options. When skipBig
+// is set the warp/secure large-constant case (the paper's 577 s row) is
+// skipped; pass false to measure it too. A nonzero pathTimeout is each
+// path's solve deadline (see RunDefect): a row whose solve outlives it
 // records the exhaustion instead of waiting the solve out.
-func Figure12Budget(opts core.Options, skipBig bool, pathTimeout time.Duration, maxStates, maxSteps int64) ([]Fig12Row, error) {
+func Figure12(skipBig bool, pathTimeout time.Duration) ([]Fig12Row, error) {
 	var rows []Fig12Row
 	for _, d := range corpus.Defects() {
 		if skipBig && d.Big {
 			rows = append(rows, Fig12Row{Defect: d, FG: -1})
 			continue
 		}
-		row, err := RunDefectBudget(d, opts, pathTimeout, maxStates, maxSteps)
+		row, err := RunDefect(d, core.Options{}, pathTimeout, 0, 0)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", d.App, d.Name, err)
 		}
@@ -186,7 +175,6 @@ func AblationVariants() []AblationRow {
 		{Name: "no-maximalize", Opts: core.Options{NoMaximalize: true}},
 		{Name: "raw-constants", Opts: core.Options{RawConstants: true}},
 		{Name: "minimize-intermediates", Opts: core.Options{Minimize: true}},
-		{Name: "sequential-groups", Opts: core.Options{Sequential: true}},
 	}
 }
 
@@ -198,7 +186,7 @@ func Ablation(defect string) ([]AblationRow, error) {
 	}
 	rows := AblationVariants()
 	for i := range rows {
-		res, err := RunDefect(d, rows[i].Opts)
+		res, err := RunDefect(d, rows[i].Opts, 0, 0, 0)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", rows[i].Name, err)
 		}

@@ -34,7 +34,7 @@ func TestFigure11Table(t *testing.T) {
 
 func TestRunDefectMeasuresMetrics(t *testing.T) {
 	d, _ := corpus.DefectByName("utopia/login")
-	row, err := RunDefect(d, core.Options{})
+	row, err := RunDefect(d, core.Options{}, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFigure12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus run in -short mode")
 	}
-	rows, err := Figure12(core.Options{}, true)
+	rows, err := Figure12(true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,10 +194,9 @@ func (s *Server) solve(ctx context.Context, req *SolveRequest) (int, any) {
 	if solveErr != nil {
 		var ex *budget.Exhausted
 		if !errors.As(solveErr, &ex) {
-			// Structural or internal failure that was not a budget trip
-			// (e.g. a panic recovered inside a concurrent group solver and
-			// converted to an error). Same contract as an isolated panic:
-			// 500 with an incident ID, details only in the server log.
+			// Structural or internal failure that was not a budget trip.
+			// Same contract as an isolated panic: 500 with an incident ID,
+			// details only in the server log.
 			id := newIncidentID()
 			s.stats.panics.Add(1)
 			s.cfg.Logf("incident %s: internal solver error: %v", id, solveErr)
